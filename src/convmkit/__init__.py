@@ -2,7 +2,7 @@
 MMD-based unsupervised domain adaptation, on a from-scratch autodiff core."""
 
 from .tensor import Tensor, set_checked
-from .layers import ConvM, ConvMConfig, receptive_field, dilation_rate_for, build_conv_m
+from .layers import ConvM, ConvMConfig, receptive_field, dilation_rate_for
 from .network import (NetworkSpec, Network, build_network, reference_spec,
                       tiny_spec, attach_da_heads, attach_decoders, propagate_shapes)
 # note: the audit/gradcheck submodules each define a function of the same
@@ -13,8 +13,8 @@ from .audit import (ParamReport, count_network, count_branch1,
                     REFERENCE_COUNTS, REFERENCE_TOTAL)
 from .audit import audit as audit_params
 from .mmd import gaussian_kernel, median_bandwidth, mmd_loss
-from .da import (DAConfig, SolverConfig, DADatasets, DomainBatch, sampling_ratio,
-                 make_batch, da_loss, train_da, train_supervised, evaluate)
+from .da import (DAConfig, SolverConfig, DADatasets, DomainBatch, DomainSampler,
+                 sampling_ratio, da_loss, train_da, evaluate)
 from .optim import SGDMomentum, poly_lr
 from .gradcheck import run_default_suite
 from .gradcheck import gradcheck as check_gradients

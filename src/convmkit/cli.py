@@ -4,6 +4,7 @@ export-features."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import tdf
 from . import tensor as T
 from .config import RunConfig, load_config, save_config
 from .da import (DAConfig, DADatasets, SolverConfig, evaluate as da_evaluate,
-                 train_da, train_supervised, METRIC_COLUMNS)
+                 metric_columns, mmd_taps, train_da)
 from .gradcheck import gradcheck, run_default_suite, _t
 from .network import (NetworkSpec, attach_da_heads, attach_decoders,
                       build_network, propagate_shapes)
@@ -171,10 +172,10 @@ def _build_model(cfg: RunConfig, *, for_da: bool, with_decoders: bool = False):
     return net
 
 
-def _write_metrics(path, history):
+def _write_metrics(path, columns, history):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(METRIC_COLUMNS)
+        w.writerow(columns)
         w.writerows(history)
 
 
@@ -212,11 +213,12 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
 
     if cfg.mode == "da":
         attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))
-        history = train_da(model, data, cfg.da, cfg.solver)
+        da_cfg = cfg.da
     else:
-        history = train_supervised(model, data, cfg.da, cfg.solver)
-        model.decoders = None
-    _write_metrics(out / "metrics.csv", history)
+        da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
+    columns = metric_columns(len(mmd_taps(model, da_cfg)))
+    history = train_da(model, data, da_cfg, cfg.solver)
+    _write_metrics(out / "metrics.csv", columns, history)
     ckpt_mod.save(model, out / "checkpoint.zip", step=cfg.solver.max_steps,
                   seed=cfg.solver.seed, extra={"mode": cfg.mode, "stats": stats})
     click.echo(f"final loss {history[-1][3]:.4f}; artifacts in {out}")

@@ -1,9 +1,10 @@
-"""Domain-adaptation objective and training loops.
+"""Domain-adaptation objective and the training loop.
 
 The unified loss combines source-label cross-entropy, Gaussian-MMD feature
 alignment at named encoder taps, and input reconstruction through the
 unpooling decoders; the sampling ratio of target-domain examples grows
-linearly over training.
+linearly over training. Source-only training is the same loop with both
+auxiliary terms removed (``no_gmmd`` and ``no_recons``).
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ import numpy as np
 
 from . import tensor as T
 from .mmd import median_bandwidth, mmd_loss
-from .network import Network
+from .network import DECODER_NAMES, Network
 from .optim import SGDMomentum, poly_lr
 
 log = logging.getLogger(__name__)
-
-METRIC_COLUMNS = ["step", "lr", "ratio", "loss_total", "loss_ce",
-                  "loss_mmd_tap1", "loss_mmd_tap2", "loss_mmd_tap3",
-                  "loss_recon_d1", "loss_recon_d2"]
 
 
 @dataclass
@@ -83,6 +80,31 @@ def default_freeze_set(net: Network) -> list[str]:
             break
     names += [net.spec.layer_name(i) for i in net.spec.conv_m_indices()[:3]]
     return names
+
+
+def _layer_indices(model: Network, names, option: str) -> list[int]:
+    """Spec indices of the named layers; a ValueError names any unknown one
+    together with the valid names."""
+    index = {model.spec.layer_name(i): i for i in range(len(model.spec.layers))}
+    unknown = [n for n in names if n not in index]
+    if unknown:
+        raise ValueError(f"{option}: unknown layer name(s) {unknown}; "
+                         f"valid names are {list(index)}")
+    return [index[n] for n in names]
+
+
+def mmd_taps(model: Network, cfg: DAConfig) -> list[int]:
+    """Spec indices of the MMD taps (default: last three conv_m outputs)."""
+    taps = cfg.mmd_layers or default_mmd_layers(model)
+    return _layer_indices(model, taps, "mmd_layers")
+
+
+def metric_columns(n_taps: int) -> list[str]:
+    """metrics.csv header: one MMD column per tap, one recon column per
+    decoder; ``train_da`` rows follow it whichever terms are ablated."""
+    return (["step", "lr", "ratio", "loss_total", "loss_ce"]
+            + [f"loss_mmd_tap{i}" for i in range(1, n_taps + 1)]
+            + [f"loss_recon_d{i}" for i in range(1, len(DECODER_NAMES) + 1)])
 
 
 def sampling_ratio(step: int, total_steps: int, cfg: DAConfig) -> float:
@@ -145,14 +167,6 @@ class DomainSampler:
         return DomainBatch(x=x, labels=labels, is_target=is_target)
 
 
-def make_batch(source_pool, target_pool, batch_size: int, ratio: float,
-               rng: np.random.Generator) -> DomainBatch:
-    """One-shot batch draw; source_pool is (x, y), target_pool is x."""
-    sampler = DomainSampler(source_pool[0], source_pool[1], target_pool,
-                            batch_size, rng)
-    return sampler.make_batch(ratio)
-
-
 def da_loss(model: Network, batch: DomainBatch, cfg: DAConfig, *,
             training: bool = True, rng=None):
     """Total objective and its components on one mixed batch.
@@ -179,10 +193,8 @@ def da_loss(model: Network, batch: DomainBatch, cfg: DAConfig, *,
     if not cfg.no_gmmd:
         if len(tgt) == 0:
             raise ValueError("MMD needs target samples; enable no_gmmd otherwise")
-        tap_names = cfg.mmd_layers or default_mmd_layers(model)
-        name_to_idx = {model.spec.layer_name(i): i for i in range(len(model.spec.layers))}
-        for name in tap_names:
-            feats = T.flatten2d(st.layer_outputs[name_to_idx[name]])
+        for i in mmd_taps(model, cfg):
+            feats = T.flatten2d(st.layer_outputs[i])
             fs = T.take_rows(feats, src)
             ft = T.take_rows(feats, tgt)
             try:
@@ -215,31 +227,38 @@ class DADatasets:
     target_y: np.ndarray | None = None  # evaluation only, never trained on
 
 
-def _metrics_row(step, lr, ratio, comps):
-    mmd = (comps.get("mmd") or []) + [0.0] * 3
-    rec = (comps.get("recon") or []) + [0.0] * 2
-    return [step, lr, ratio, comps["total"], comps["ce"],
-            mmd[0], mmd[1], mmd[2], rec[0], rec[1]]
+def _metrics_row(step, lr, ratio, comps, n_taps):
+    # an ablated term logs zeros, so every row matches metric_columns
+    mmd = comps["mmd"] or [0.0] * n_taps
+    rec = comps["recon"] or [0.0] * len(DECODER_NAMES)
+    return [step, lr, ratio, comps["total"], comps["ce"], *mmd, *rec]
 
 
 def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
              solver: SolverConfig, *, on_step=None):
     """The fine-tuning protocol: mixed-domain batches with a growing target
-    share, poly LR decay, frozen early layers, 10x LR on new layers.
+    share, poly LR decay, frozen early layers, 10x LR on new layers. With
+    ``no_gmmd`` and ``no_recons`` it is the source-only baseline. Frozen
+    parameters get ``requires_grad = False``, which takes them off the tape,
+    and stay out of the optimizer; all others get ``True``.
 
-    Returns the per-step metrics history; decoders are stripped from the
-    model afterwards so the result is the test-time predictor.
+    Returns the per-step metrics rows (see ``metric_columns``); decoders are
+    stripped from the model afterwards so the result is the test-time
+    predictor.
     """
     cfg.validate()
+    n_taps = len(mmd_taps(model, cfg))
+    freeze = cfg.freeze_set if cfg.freeze_set is not None else default_freeze_set(model)
+    _layer_indices(model, freeze, "freeze_set")
     rng = np.random.default_rng(solver.seed)
     sampler = DomainSampler(datasets.source_x, datasets.source_y,
                             datasets.target_x, solver.batch_size, rng)
-    freeze = set(cfg.freeze_set if cfg.freeze_set is not None
-                 else default_freeze_set(model))
-    params = model.parameters()
-    mults = model.lr_multipliers(freeze_names=freeze,
-                                 new_layer_mult=cfg.head_lr_multiplier)
-    opt = SGDMomentum(params, momentum=solver.momentum, lr_multipliers=mults)
+    for name, p in model.parameters().items():
+        p.requires_grad = name.split(".", 1)[0] not in freeze
+    trainable = {n: p for n, p in model.parameters().items() if p.requires_grad}
+    mults = {name: cfg.head_lr_multiplier for name in trainable
+             if name.startswith(("head.", "decoder"))}
+    opt = SGDMomentum(trainable, momentum=solver.momentum, lr_multipliers=mults)
     history = []
     for step in range(solver.max_steps):
         lr = poly_lr(solver.base_lr, step, solver.max_steps, solver.power)
@@ -250,48 +269,13 @@ def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
         if not np.isfinite(comps["total"]):
             raise RuntimeError(f"divergence at step {step}: loss {comps['total']}")
         total.backward()
+        del total  # free this step's graph before the next forward
         opt.step(lr)
-        row = _metrics_row(step, lr, ratio, comps)
+        row = _metrics_row(step, lr, ratio, comps, n_taps)
         history.append(row)
         if on_step:
             on_step(step, row)
     model.decoders = None
-    return history
-
-
-def train_supervised(model: Network, datasets: DADatasets, cfg: DAConfig,
-                     solver: SolverConfig, *, on_step=None):
-    """Source-only fine-tuning control: identical batch stream and schedules,
-    but the objective is the source cross-entropy alone."""
-    cfg.validate()
-    rng = np.random.default_rng(solver.seed)
-    sampler = DomainSampler(datasets.source_x, datasets.source_y,
-                            datasets.target_x, solver.batch_size, rng)
-    freeze = set(cfg.freeze_set if cfg.freeze_set is not None
-                 else default_freeze_set(model))
-    params = model.parameters()
-    mults = model.lr_multipliers(freeze_names=freeze,
-                                 new_layer_mult=cfg.head_lr_multiplier)
-    opt = SGDMomentum(params, momentum=solver.momentum, lr_multipliers=mults)
-    history = []
-    for step in range(solver.max_steps):
-        lr = poly_lr(solver.base_lr, step, solver.max_steps, solver.power)
-        ratio = sampling_ratio(step, solver.max_steps, cfg)
-        batch = sampler.make_batch(ratio)
-        opt.zero_grad()
-        src = batch.source_rows
-        x = T.Tensor(batch.x, dtype=model.dtype)
-        st = model.forward(x, training=True, rng=rng)
-        loss = T.softmax_cross_entropy(T.take_rows(st.logits, src), batch.labels[src])
-        if not np.isfinite(loss.data.item()):
-            raise RuntimeError(f"divergence at step {step}: loss {loss.data.item()}")
-        loss.backward()
-        opt.step(lr)
-        comps = {"total": loss.data.item(), "ce": loss.data.item()}
-        row = _metrics_row(step, lr, ratio, comps)
-        history.append(row)
-        if on_step:
-            on_step(step, row)
     return history
 
 

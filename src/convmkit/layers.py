@@ -183,7 +183,3 @@ class ConvM:
         out = T.concat([b1d, b2d, b3d], axis=1)
         taps = {"c3": b1, "dic2": b2, "dec2": b3}
         return out, taps
-
-
-def build_conv_m(cfg: ConvMConfig, *, rng=None, dtype=np.float32) -> ConvM:
-    return ConvM(cfg, rng=rng or np.random.default_rng(0), dtype=dtype)

@@ -14,33 +14,30 @@ from .layers import Conv2d, ConvM, ConvMConfig, ConvTranspose2dCropped, Linear
 from .tensor import Tensor
 
 LAYER_KINDS = ("input", "conv", "maxpool", "conv_m", "avgpool", "linear")
+DECODER_NAMES = ("decoder1", "decoder2")  # built by attach_decoders
 
 
 @dataclass
 class LayerSpec:
     kind: str
     params: dict = field(default_factory=dict)
-    freeze: bool = False
-    lr_mult: float = 1.0
 
     def to_dict(self) -> dict:
         p = dict(self.params)
         if self.kind == "conv_m":
             p["cfg"] = p["cfg"].to_dict()
-        d = {"kind": self.kind, "params": p}
-        if self.freeze:
-            d["freeze"] = True
-        if self.lr_mult != 1.0:
-            d["lr_mult"] = self.lr_mult
-        return d
+        return {"kind": self.kind, "params": p}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
+        for key in ("freeze", "lr_mult"):
+            if key in d:
+                raise ValueError(f"layer spec key {key!r} is no longer supported; "
+                                 "freeze layers with the run config's da.freeze_set")
         p = dict(d.get("params", {}))
         if d["kind"] == "conv_m":
             p["cfg"] = ConvMConfig.from_dict(p["cfg"])
-        return cls(kind=d["kind"], params=p,
-                   freeze=d.get("freeze", False), lr_mult=d.get("lr_mult", 1.0))
+        return cls(kind=d["kind"], params=p)
 
 
 @dataclass
@@ -304,24 +301,6 @@ class Network:
                     out[f"{d.name}.{pname}"] = t
         return out
 
-    def lr_multipliers(self, freeze_names: set[str] | None = None,
-                       new_layer_mult: float = 10.0) -> dict[str, float]:
-        """Per-parameter factors: spec-level freeze/lr_mult for the encoder,
-        ``new_layer_mult`` for heads and decoders, 0 for ``freeze_names``."""
-        freeze_names = freeze_names or set()
-        mults: dict[str, float] = {}
-        for i, e in enumerate(self.spec.layers):
-            if self.modules.get(i) is None:
-                continue
-            base = self.spec.layer_name(i)
-            m = 0.0 if (e.freeze or base in freeze_names) else e.lr_mult
-            for pname, _ in self.modules[i].parameters():
-                mults[f"{base}.{pname}"] = m
-        for name in self.parameters():
-            if name.startswith(("head.", "decoder")):
-                mults[name] = new_layer_mult
-        return mults
-
     def param_census(self) -> int:
         return sum(int(p.size) for p in self.parameters().values())
 
@@ -474,17 +453,13 @@ def attach_decoders(net: Network, *, rng=None) -> Network:
 
     d1_tap = convms[-1]
     d2_tap = pools[-1] - 1  # output feeding the last pooling layer
+    d1, d2 = DECODER_NAMES
     net.decoders = [
-        Decoder("decoder1", d1_tap, list(reversed(pools)), net.shapes[d1_tap][0],
+        Decoder(d1, d1_tap, list(reversed(pools)), net.shapes[d1_tap][0],
                 pool_channels, input_channels, rng=rng, dtype=net.dtype),
-        Decoder("decoder2", d2_tap, list(reversed(pools[:-1])), net.shapes[d2_tap][0],
+        Decoder(d2, d2_tap, list(reversed(pools[:-1])), net.shapes[d2_tap][0],
                 pool_channels, input_channels, rng=rng, dtype=net.dtype),
     ]
-    return net
-
-
-def strip_decoders(net: Network) -> Network:
-    net.decoders = None
     return net
 
 

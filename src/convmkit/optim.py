@@ -15,8 +15,9 @@ def poly_lr(base: float, iteration: int, max_iter: int, power: float) -> float:
 class SGDMomentum:
     """Classic momentum: v = m*v + lr_eff*grad; w -= v.
 
-    ``lr_multipliers`` maps parameter name -> per-layer factor; multiplier 0
-    freezes a parameter (its velocity stays zero and it is never touched).
+    ``lr_multipliers`` maps parameter name -> per-layer factor (default 1).
+    A frozen parameter is simply left out of ``params``; a parameter with no
+    gradient this step is skipped.
     """
 
     def __init__(self, params: dict, momentum: float = 0.9,
@@ -26,19 +27,15 @@ class SGDMomentum:
         self.lr_multipliers = dict(lr_multipliers or {})
         self.velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def multiplier(self, name: str) -> float:
-        return self.lr_multipliers.get(name, 1.0)
-
     def step(self, lr: float) -> None:
         if lr < 0:
             raise ValueError(f"negative learning rate {lr}")
         for name, p in self.params.items():
-            mult = self.multiplier(name)
-            if mult == 0.0 or p.grad is None:
+            if p.grad is None:
                 continue
             v = self.velocity[name]
             v *= self.momentum
-            v += (lr * mult) * p.grad
+            v += (lr * self.lr_multipliers.get(name, 1.0)) * p.grad
             p.data -= v
 
     def zero_grad(self) -> None:

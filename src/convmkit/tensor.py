@@ -62,7 +62,8 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
-        self.data = np.ascontiguousarray(arr)
+        # ascontiguousarray would promote a 0-d loss to shape (1,)
+        self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -535,8 +536,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError("softmax_cross_entropy: label out of range")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    loss = -np.mean(np.log(p[np.arange(n), labels] + 0.0))
+    sez = ez.sum(axis=1, keepdims=True)
+    p = ez / sez
+    # log-softmax, not log(p): p underflows to 0 in float32 on a large margin
+    loss = -np.mean(z[np.arange(n), labels] - np.log(sez[:, 0]))
 
     def bwd(g):
         if logits.requires_grad:

@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from ce_reference import train_ce_reference
 from convmkit import tensor as T
 from convmkit.audit import REFERENCE_COUNTS, REFERENCE_TOTAL, audit, solve_groups
 from convmkit.da import (DAConfig, DADatasets, SolverConfig, evaluate,
-                         sampling_ratio, train_da, train_supervised)
+                         sampling_ratio, train_da)
 from convmkit.gradcheck import run_default_suite
 from convmkit.mmd import mmd_brute_force, mmd_loss
 from convmkit.network import (attach_da_heads, attach_decoders, build_network,
@@ -171,7 +172,7 @@ def test_criterion_08_ablation_reduces_to_supervised():
     m_da = _fresh_model(7, k, decoders=True)
     m_sup = _fresh_model(7, k, decoders=False)
     train_da(m_da, sets, cfg, solver)
-    train_supervised(m_sup, sets, cfg, solver)
+    train_ce_reference(m_sup, sets, cfg, solver)
     pa, pb = m_da.parameters(), m_sup.parameters()
     ok = set(pa) == set(pb) and all(
         pa[name].data.tobytes() == pb[name].data.tobytes() for name in pa)
@@ -193,9 +194,8 @@ def test_criterion_09_desk_scale_adaptation():
         solver = SolverConfig(base_lr=0.003, max_steps=300, batch_size=32,
                               seed=seed)
         baseline = _fresh_model(seed, 5, decoders=False)
-        train_supervised(baseline, sets,
-                         DAConfig(freeze_set=[], no_gmmd=True, no_recons=True),
-                         solver)
+        train_da(baseline, sets,
+                 DAConfig(freeze_set=[], no_gmmd=True, no_recons=True), solver)
         src_acc.append(evaluate(baseline, sets.target_x, ty))
 
         model = _fresh_model(seed, 5, decoders=True)

@@ -9,6 +9,7 @@ from convmkit import checkpoint, tdf
 from convmkit.checkpoint import CheckpointError
 from convmkit.network import (
     attach_da_heads,
+    LayerSpec,
     build_network,
     reference_spec,
     tiny_spec,
@@ -57,6 +58,22 @@ class TestRoundTrip:
         p = tmp_path / "ref.zip"
         checkpoint.save(net, p)
         assert checkpoint.read_meta(p)["census"] == 4_118_080
+
+
+class TestFormat:
+    def test_spec_hashes_pinned(self):
+        # checkpoints store and verify these hashes, so a change to the spec
+        # serialization would make every saved checkpoint unloadable
+        assert reference_spec().hash() == "ea66a0f15e9dae15"
+        assert reference_spec(num_classes=5).hash() == "afd64e599a173ebc"
+        assert tiny_spec().hash() == "78b45dc1b4441970"
+        assert tiny_spec(num_classes=5).hash() == "f91a5ba241fe3580"
+
+    @pytest.mark.parametrize("key,value", [("freeze", True), ("lr_mult", 0.5)])
+    def test_layer_freeze_keys_rejected(self, key, value):
+        d = {"kind": "conv", "params": {"out_channels": 8, "k": 3}, key: value}
+        with pytest.raises(ValueError, match=f"'{key}'.*freeze_set"):
+            LayerSpec.from_dict(d)
 
 
 class TestRejection:

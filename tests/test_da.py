@@ -1,8 +1,11 @@
-"""Domain-adaptation objective, sampling schedule, and training loops."""
+"""Domain-adaptation objective, sampling schedule, and the training loop."""
+
+import gc
 
 import numpy as np
 import pytest
 
+from ce_reference import train_ce_reference
 from convmkit import tensor as T
 from convmkit.da import (
     DAConfig,
@@ -13,10 +16,9 @@ from convmkit.da import (
     default_freeze_set,
     default_mmd_layers,
     evaluate,
-    make_batch,
+    metric_columns,
     sampling_ratio,
     train_da,
-    train_supervised,
 )
 from convmkit.network import (
     attach_da_heads,
@@ -68,7 +70,7 @@ class TestBatchComposition:
         rng = np.random.default_rng(0)
         sx, sy = fake_data(rng, 40)
         tx, _ = fake_data(rng, 40)
-        b = make_batch((sx, sy), tx, batch_size=20, ratio=0.3, rng=rng)
+        b = DomainSampler(sx, sy, tx, batch_size=20, rng=rng).make_batch(0.3)
         assert int(b.is_target.sum()) == 6
         assert len(b.source_rows) == 14
         assert np.all(b.labels[b.target_rows] == -1)
@@ -78,7 +80,7 @@ class TestBatchComposition:
         rng = np.random.default_rng(1)
         sx, sy = fake_data(rng, 10)
         tx, _ = fake_data(rng, 10)
-        b = make_batch((sx, sy), tx, batch_size=8, ratio=0.5, rng=rng)
+        b = DomainSampler(sx, sy, tx, batch_size=8, rng=rng).make_batch(0.5)
         assert not b.is_target[:4].any() and b.is_target[4:].all()
 
     def test_epoch_covers_pool_without_replacement(self):
@@ -111,8 +113,8 @@ class TestDALoss:
         self.model = tiny_model(seed=0, with_decoders=True)
         sx, sy = fake_data(self.rng, 16)
         tx, _ = fake_data(self.rng, 16)
-        self.batch = make_batch((sx, sy), tx, batch_size=8, ratio=0.5,
-                                rng=self.rng)
+        self.batch = DomainSampler(sx, sy, tx, batch_size=8,
+                                   rng=self.rng).make_batch(0.5)
 
     def test_components_sum_to_total(self):
         cfg = DAConfig(mmd_weight=0.3, recon_weight=1.0)
@@ -204,6 +206,47 @@ class TestTrainingLoops:
         after = model.parameters()
         for name, w in before.items():
             assert after[name].data.tobytes() == w.tobytes(), name
+            # off the tape: no gradient was ever computed for it
+            assert not after[name].requires_grad and after[name].grad is None, name
+        assert all(p.requires_grad for n, p in after.items() if n not in before)
+
+    @pytest.mark.parametrize("option,names,bad", [
+        ("mmd_layers", ["layer8", "layer99"], "layer99"),
+        ("freeze_set", ["layr2"], "layr2")])
+    def test_unknown_layer_names_rejected_before_step_0(self, option, names, bad):
+        model = tiny_model(seed=3, with_decoders=True)
+        solver = SolverConfig(max_steps=1, batch_size=8, seed=5)
+        steps = []
+        with pytest.raises(ValueError, match=option) as exc:
+            train_da(model, self.make_sets(), DAConfig(**{option: names}), solver,
+                     on_step=lambda step, row: steps.append(step))
+        # names the bad layer and lists the valid ones
+        assert bad in str(exc.value) and "'layer8'" in str(exc.value)
+        assert steps == []
+
+    def test_metrics_columns_follow_taps(self):
+        model = tiny_model(seed=4, with_decoders=True)
+        taps = ["layer4", "layer6", "layer8", "layer9"]
+        solver = SolverConfig(max_steps=2, batch_size=8, seed=6)
+        hist = train_da(model, self.make_sets(), DAConfig(mmd_layers=taps), solver)
+        columns = metric_columns(len(taps))
+        assert columns[5:9] == [f"loss_mmd_tap{i}" for i in range(1, 5)]
+        assert all(len(row) == len(columns) == 11 for row in hist)
+        assert all(v != 0.0 for row in hist for v in row[5:])
+
+    def test_step_graph_freed_before_next_step(self):
+        def live_tensors():
+            gc.collect()
+            return sum(isinstance(o, T.Tensor) for o in gc.get_objects())
+
+        model = tiny_model(seed=4, with_decoders=True)
+        sets = self.make_sets()
+        solver = SolverConfig(max_steps=2, batch_size=8, seed=6)
+        before = live_tensors()  # the parameters, plus whatever else is alive
+        live = []
+        train_da(model, sets, DAConfig(freeze_set=[]), solver,
+                 on_step=lambda step, row: live.append(live_tensors()))
+        assert live == [before, before]
 
     def test_history_shape_and_finite(self):
         model = tiny_model(seed=4, with_decoders=True)
@@ -222,9 +265,10 @@ class TestTrainingLoops:
                        for n in model.parameters())
 
     def test_ablated_da_matches_supervised_trajectory(self):
-        # with both auxiliary terms removed, the adaptation loop and the
-        # source-only loop consume identical sample/dropout streams and must
-        # produce bit-identical shared parameters
+        # with both auxiliary terms removed, the training loop and a plain
+        # CE loop consume identical sample/dropout streams and must produce
+        # bit-identical shared parameters, although the reference keeps the
+        # frozen layers on the tape
         sets = self.make_sets(seed=9)
         solver = SolverConfig(max_steps=3, batch_size=8, seed=11)
         cfg = DAConfig(no_gmmd=True, no_recons=True)
@@ -232,7 +276,7 @@ class TestTrainingLoops:
         m_da = tiny_model(seed=5, with_decoders=True)
         m_sup = tiny_model(seed=5, with_decoders=False)
         train_da(m_da, sets, cfg, solver)
-        train_supervised(m_sup, sets, cfg, solver)
+        train_ce_reference(m_sup, sets, cfg, solver)
 
         pa, pb = m_da.parameters(), m_sup.parameters()
         assert set(pa) == set(pb)
@@ -248,9 +292,8 @@ class TestTrainingLoops:
         m_da = tiny_model(seed=5, with_decoders=True)
         m_sup = tiny_model(seed=5)
         train_da(m_da, sets, DAConfig(freeze_set=[]), solver)
-        train_supervised(m_sup, sets,
-                         DAConfig(freeze_set=[], no_gmmd=True, no_recons=True),
-                         solver)
+        train_da(m_sup, sets,
+                 DAConfig(freeze_set=[], no_gmmd=True, no_recons=True), solver)
         pa, pb = m_da.parameters(), m_sup.parameters()
         moved = [n for n in pa if pa[n].data.tobytes() != pb[n].data.tobytes()]
         assert moved

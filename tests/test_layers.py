@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from convmkit import tensor as T
-from convmkit.layers import (ConvM, ConvMConfig, build_conv_m, dilation_rate_for,
-                             receptive_field)
+from convmkit.layers import ConvM, ConvMConfig, dilation_rate_for, receptive_field
 from convmkit.tensor import Tensor
 
 LAYER4_CFG = ConvMConfig(n_in=64, c1=64, c2=64, c3=64, c4=64, dic1=64, dic2=64,
@@ -40,8 +39,8 @@ def test_convm_forward_channels_and_spatial():
 
 
 def test_zero_input_gives_zero_output():
-    m = build_conv_m(ConvMConfig(n_in=4, c1=4, c2=4, c3=4, c4=4, dic1=4, dic2=4,
-                                 c5=4, dec1=4, dec2=4, groups=2))
+    m = ConvM(ConvMConfig(n_in=4, c1=4, c2=4, c3=4, c4=4, dic1=4, dic2=4,
+                          c5=4, dec1=4, dec2=4, groups=2), rng=np.random.default_rng(0))
     out = m(Tensor(np.zeros((1, 4, 6, 6))), training=False)
     assert np.all(out.data == 0.0)
 

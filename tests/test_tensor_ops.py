@@ -261,6 +261,25 @@ class TestSimpleOps:
         want = -np.mean(np.log(p[np.arange(4), labels]))
         assert abs(float(loss.data) - want) < 1e-12
 
+    def test_losses_are_0d(self):
+        from convmkit.mmd import mmd_loss
+
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.standard_normal((4, 3)))
+        b = Tensor(rng.standard_normal((4, 3)))
+        losses = [T.softmax_cross_entropy(a, np.zeros(4, dtype=np.int64)),
+                  T.mse(a, b), T.tsum(a), mmd_loss(a, b, 1.0)]
+        assert [loss.shape for loss in losses] == [()] * 4
+
+    def test_softmax_ce_float32_large_margin_finite(self):
+        # softmax of the true class underflows to 0 in float32 here
+        logits = Tensor(np.array([[0.0, 1e4, 0.0]], dtype=np.float32),
+                        requires_grad=True)
+        loss = T.softmax_cross_entropy(logits, np.array([0]))
+        assert np.isfinite(loss.item()) and loss.item() == pytest.approx(1e4)
+        loss.backward()
+        np.testing.assert_array_equal(logits.grad, [[-1.0, 1.0, 0.0]])
+
     def test_softmax_ce_empty_batch(self):
         with pytest.raises(ValueError):
             T.softmax_cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
