@@ -22,19 +22,13 @@ from .config import RunConfig, load_config, save_config
 from .da import (DAConfig, DADatasets, SolverConfig, evaluate as da_evaluate,
                  metric_columns, mmd_taps, train_da)
 from .gradcheck import gradcheck, run_default_suite, _t
-from .network import (NetworkSpec, attach_da_heads, attach_decoders,
-                      build_network, propagate_shapes)
+from .network import attach_da_heads, attach_decoders, build_network
 
 
 @click.group()
 def main():
     """Compact three-branch CNN: parameter audits, gradient checks, synthetic
     two-domain benchmarks, and MMD-based domain-adaptation training."""
-
-
-def _resolve_spec(name: str, num_classes: int, input_size: int) -> NetworkSpec:
-    cfg = RunConfig(network=name, num_classes=num_classes, input_size=input_size)
-    return cfg.resolve_spec()
 
 
 @main.command("audit")
@@ -52,7 +46,7 @@ def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
     if config_path:
         spec = load_config(config_path).resolve_spec()
     else:
-        spec = _resolve_spec(spec_name, 1000, 224)
+        spec = RunConfig(network=spec_name, num_classes=1000, input_size=224).resolve_spec()
     if golden is None:
         golden = spec_name == "reference" and not config_path
     reference = REFERENCE_COUNTS if golden else None
@@ -264,7 +258,8 @@ def cmd_export_features(config_path, ckpt_path, images_path, layer, out_dir):
     meta = ckpt_mod.read_meta(ckpt_path)
     if "stats" in meta:
         x = synth_mod.normalize(x, meta["stats"])
-    st = model.forward(T.Tensor(x, dtype=model.dtype), training=False)
+    with T.no_grad():
+        st = model.forward(T.Tensor(x, dtype=model.dtype), training=False)
     names = {model.spec.layer_name(i): i for i in range(len(model.spec.layers))}
     if layer not in names:
         raise click.ClickException(f"unknown layer {layer!r}; have {sorted(names)}")

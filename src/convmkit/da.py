@@ -73,13 +73,8 @@ def default_mmd_layers(net: Network) -> list[str]:
 
 
 def default_freeze_set(net: Network) -> list[str]:
-    names = []
-    for i, e in enumerate(net.spec.layers):
-        if e.kind == "conv":
-            names.append(net.spec.layer_name(i))
-            break
-    names += [net.spec.layer_name(i) for i in net.spec.conv_m_indices()[:3]]
-    return names
+    stem = [i for i, e in enumerate(net.spec.layers) if e.kind == "conv"][:1]
+    return [net.spec.layer_name(i) for i in stem + net.spec.conv_m_indices()[:3]]
 
 
 def _layer_indices(model: Network, names, option: str) -> list[int]:
@@ -281,12 +276,13 @@ def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
 
 def evaluate(model: Network, x: np.ndarray, y: np.ndarray,
              batch_size: int = 64) -> float:
-    """Top-1 accuracy in eval mode (dropout off)."""
+    """Top-1 accuracy in eval mode (dropout off), with no tape recorded."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
     y = np.asarray(y, dtype=np.int64)
     hits = 0
-    for i in range(0, len(x), batch_size):
-        xb = T.Tensor(x[i:i + batch_size], dtype=model.dtype)
-        hits += int(np.sum(model.predict(xb) == y[i:i + batch_size]))
+    with T.no_grad():
+        for i in range(0, len(x), batch_size):
+            xb = T.Tensor(x[i:i + batch_size], dtype=model.dtype)
+            hits += int(np.sum(model.predict(xb) == y[i:i + batch_size]))
     return hits / len(x)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, tsum, scale
+from .tensor import Tensor, linear, reshape, tsum
 
 
 @dataclass
@@ -27,7 +27,6 @@ class GradCheckReport:
 def _scalarize(fn, inputs, proj):
     """Reduce fn's output to a scalar through a fixed random projection;
     a plain sum could mask sign errors that happen to cancel."""
-    from .tensor import linear, reshape
     out = fn(*inputs)
     flat = reshape(out, (1, max(out.size, 1)))
     w = Tensor(proj.reshape(-1, 1), requires_grad=False, dtype=out.dtype)
@@ -126,6 +125,12 @@ def default_suite(rng: np.random.Generator | None = None):
     cases.append(("deconv_strided_grouped",
                   lambda x, w: T.conv2d_transpose_cropped(x, w, stride=2, groups=2),
                   [_t(rng, 1, 4, 4, 4), _t(rng, 4, 2, 3, 3)]))
+    cases.append(("deconv_even_k", lambda x, w: T.conv2d_transpose_cropped(x, w),
+                  [_t(rng, 1, 2, 4, 5), _t(rng, 2, 3, 2, 2)]))
+    cases.append(("conv2d_1x1_grouped", lambda x, w: T.conv2d(x, w, groups=2),
+                  [_t(rng, 2, 4, 3, 3), _t(rng, 6, 2, 1, 1)]))
+    cases.append(("conv2d_1x1_strided", lambda x, w: T.conv2d(x, w, stride=2),
+                  [_t(rng, 1, 3, 5, 6), _t(rng, 2, 3, 1, 1)]))
 
     cases.append(("maxpool", lambda x: T.maxpool2d_with_indices(x, 3, 2)[0],
                   [_spread(rng, 1, 2, 7, 7)]))

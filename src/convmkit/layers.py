@@ -7,7 +7,7 @@ training loop controls dropout RNG and train/eval mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,13 +105,7 @@ class ConvMConfig:
             raise ValueError("dilation rates must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_in": self.n_in, "c1": self.c1, "c2": self.c2, "c3": self.c3,
-            "c4": self.c4, "dic1": self.dic1, "dic2": self.dic2,
-            "c5": self.c5, "dec1": self.dec1, "dec2": self.dec2,
-            "k": self.k, "groups": self.groups,
-            "dilations": list(self.dilations), "dropout": self.dropout,
-        }
+        return {**asdict(self), "dilations": list(self.dilations)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConvMConfig":

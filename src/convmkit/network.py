@@ -278,9 +278,6 @@ class Network:
         self.spec = NetworkSpec([e for e in self.spec.layers if e.kind != "linear"])
         self.shapes = propagate_shapes(self.spec)
 
-    def has_classifier(self) -> bool:
-        return any(e.kind == "linear" for e in self.spec.layers)
-
     # -- parameters ------------------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
@@ -374,8 +371,7 @@ def attach_da_heads(net: Network, num_classes: int, *, rng=None,
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
     rng = rng or np.random.default_rng(0)
-    if net.has_classifier():
-        net.remove_classifier()
+    net.remove_classifier()
     net.head = [Linear(net.feature_dim, hidden, rng=rng, dtype=net.dtype),
                 Linear(hidden, num_classes, rng=rng, dtype=net.dtype)]
     net.num_classes = num_classes
@@ -422,9 +418,6 @@ class Decoder:
             out.append((f"{sname}.weight", conv.weight))
         out.append(("final.weight", self.final.weight))
         return out
-
-    def n_convs(self) -> int:
-        return len(self.convs) + 1 + (self.proj is not None)
 
     def forward(self, st: ForwardState) -> Tensor:
         cur = st.layer_outputs[self.tap_layer]

@@ -11,12 +11,14 @@ Ops are pure: randomness (dropout) comes in through an explicit
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
     "Tensor",
     "set_checked",
-    "is_checked",
+    "no_grad",
     "add",
     "scale",
     "concat",
@@ -45,8 +47,18 @@ def set_checked(flag: bool) -> None:
     _CHECKED = bool(flag)
 
 
-def is_checked() -> bool:
-    return _CHECKED
+_NO_GRAD = False  # set by no_grad(): ops record no tape, results are leaves
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording the autodiff tape (inference)."""
+    global _NO_GRAD
+    prev, _NO_GRAD = _NO_GRAD, True
+    try:
+        yield
+    finally:
+        _NO_GRAD = prev
 
 
 class Tensor:
@@ -90,9 +102,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -155,10 +164,11 @@ class Tensor:
 
 
 def _make(data, parents, backward_fn):
-    """Create a graph node; drops the closure if no parent needs gradients."""
+    """Create a graph node; drops the closure if no parent needs gradients
+    or the tape is off (``no_grad``)."""
     if _CHECKED and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite value produced by an op in checked mode")
-    needs = any(p.requires_grad for p in parents)
+    needs = not _NO_GRAD and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
         out._parents = tuple(parents)
@@ -301,6 +311,8 @@ def _conv_out_size(h, k, stride, padding, dilation):
 def _im2col(xp, k, stride, dilation, oh, ow):
     """Padded input [N,C,Hp,Wp] -> column stack [N, C, k, k, oh, ow]."""
     n, c = xp.shape[:2]
+    if k == 1:  # the (strided) input already is the column stack: no copy
+        return xp[:, :, None, None, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
     cols = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
     for i in range(k):
         hi = i * dilation
@@ -326,7 +338,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
     """Grouped, dilated 2-D cross-correlation without bias.
 
     x: [N, Cin, H, W]; w: [Cout, Cin/groups, k, k]. Output channel c reads
-    only the input group floor(c / (Cout/groups)).
+    only the input group floor(c / (Cout/groups)). The package's one conv
+    kernel (im2col + GEMM); a 1x1 conv uses the input itself as its columns.
     """
     n, cin, h, wd = x.shape
     cout, cin_g, k, k2 = w.shape
@@ -355,17 +368,56 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
     def bwd(g):
         g_r = g.reshape(n, groups, cout_g, oh * ow)
         if w.requires_grad:
-            gw = np.einsum("ngol,ngkl->gok", g_r, cols_r, optimize=True)
+            gw = np.matmul(g_r, cols_r.transpose(0, 1, 3, 2)).sum(axis=0)
             w._accumulate(gw.reshape(w.shape))
         if x.requires_grad:
             gcols = np.matmul(np.transpose(w_r, (0, 2, 1))[None], g_r)
-            gcols = gcols.reshape(n, cin, k, k, oh, ow)
-            gxp = _col2im(gcols, xp.shape, k, stride, dilation, oh, ow)
+            if k == 1 and stride == 1:  # the columns were xp itself
+                gxp = gcols.reshape(xp.shape)
+            else:
+                gxp = _col2im(gcols.reshape(n, cin, k, k, oh, ow), xp.shape,
+                              k, stride, dilation, oh, ow)
             if padding:
                 gxp = gxp[:, :, padding:-padding, padding:-padding]
             x._accumulate(gxp)
 
     return _make(out, (x, w), bwd)
+
+
+def _transposed_weight(w: Tensor, groups: int) -> Tensor:
+    """The conv2d weight [Cout, Cin/g, k, k] of the transposed conv with weight
+    [Cin, Cout/g, k, k]: channels swapped within each group, kernel flipped."""
+    def view(a, a_in):  # [g*a_in, a_out, k, k] -> [g*a_out, a_in, k, k]
+        k = a.shape[-1]
+        a = a.reshape(groups, a_in, -1, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+        return a.reshape(-1, a_in, k, k)
+
+    def bwd(g):
+        if w.requires_grad:
+            w._accumulate(view(g, w.shape[1]))
+
+    return _make(view(w.data, w.shape[0] // groups), (w,), bwd)
+
+
+def _zero_insert(x: Tensor, stride: int, k: int) -> Tensor:
+    """The input of the valid conv2d that gives the centre-cropped transposed
+    conv: ``stride - 1`` zeros between pixels, k - 1 zeros of padding, then
+    the crop window [N, C, H+k-1, W+k-1] (off-centre when the excess is odd)."""
+    n, c, h, wd = x.shape
+    hz, wz = (h - 1) * stride + 1, (wd - 1) * stride + 1
+    top, left = (hz + k - 1 - h) // 2, (wz + k - 1 - wd) // 2
+    full = np.zeros((n, c, hz + 2 * k - 2, wz + 2 * k - 2), dtype=x.dtype)
+    pixels = (..., slice(k - 1, k - 1 + hz, stride), slice(k - 1, k - 1 + wz, stride))
+    window = (..., slice(top, top + h + k - 1), slice(left, left + wd + k - 1))
+    full[pixels] = x.data
+
+    def bwd(g):
+        if x.requires_grad:
+            gfull = np.zeros_like(full)
+            gfull[window] = g
+            x._accumulate(gfull[pixels])
+
+    return _make(full[window], (x,), bwd)
 
 
 def conv2d_transpose_cropped(x: Tensor, w: Tensor, stride=1, groups=1) -> Tensor:
@@ -374,10 +426,11 @@ def conv2d_transpose_cropped(x: Tensor, w: Tensor, stride=1, groups=1) -> Tensor
 
     x: [N, Cin, H, W]; w: [Cin, Cout/groups, k, k]. The raw output has size
     (H-1)*stride + k; when the excess over H is odd the extra row/column is
-    dropped from the bottom/right.
+    dropped from the bottom/right. Runs as ``conv2d`` with the flipped,
+    per-group-transposed weight (Dumoulin & Visin, arXiv:1603.07285).
     """
-    n, cin, h, wd = x.shape
-    cin_w, cout_g, k, k2 = w.shape
+    cin = x.shape[1]
+    cin_w, _, k, k2 = w.shape
     if k != k2:
         raise ValueError("transposed conv: only square kernels are supported")
     if stride < 1:
@@ -386,41 +439,10 @@ def conv2d_transpose_cropped(x: Tensor, w: Tensor, stride=1, groups=1) -> Tensor
         raise ValueError(f"transposed conv: weight Cin={cin_w} vs input Cin={cin}")
     if cin % groups:
         raise ValueError(f"transposed conv: Cin={cin} not divisible by groups={groups}")
-    cin_g = cin // groups
-    cout = cout_g * groups
-    hr = (h - 1) * stride + k
-    wr = (wd - 1) * stride + k
-    assert hr >= h and wr >= wd, "raw transposed-conv output smaller than input"
-    top = (hr - h) // 2
-    left = (wr - wd) // 2
-
-    x_r = x.data.reshape(n, groups, cin_g, h, wd)
-    w_r = w.data.reshape(groups, cin_g, cout_g, k, k)
-    # per-group channel mix once, then scatter per kernel offset
-    mix = np.einsum("ngchw,gcoij->ngoijhw", x_r, w_r, optimize=True)
-    raw = np.zeros((n, groups, cout_g, hr, wr), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            raw[:, :, :, i:i + (h - 1) * stride + 1:stride,
-                j:j + (wd - 1) * stride + 1:stride] += mix[:, :, :, i, j]
-    out = raw.reshape(n, cout, hr, wr)[:, :, top:top + h, left:left + wd]
-
-    def bwd(g):
-        graw = np.zeros((n, groups, cout_g, hr, wr), dtype=g.dtype)
-        graw.reshape(n, cout, hr, wr)[:, :, top:top + h, left:left + wd] = g
-        gslices = np.empty((n, groups, cout_g, k, k, h, wd), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                gslices[:, :, :, i, j] = graw[:, :, :, i:i + (h - 1) * stride + 1:stride,
-                                              j:j + (wd - 1) * stride + 1:stride]
-        if x.requires_grad:
-            gx = np.einsum("ngoijhw,gcoij->ngchw", gslices, w_r, optimize=True)
-            x._accumulate(gx.reshape(n, cin, h, wd))
-        if w.requires_grad:
-            gw = np.einsum("ngoijhw,ngchw->gcoij", gslices, x_r, optimize=True)
-            w._accumulate(gw.reshape(w.shape))
-
-    return _make(np.ascontiguousarray(out), (x, w), bwd)
+    wv = _transposed_weight(w, groups)
+    if stride == 1 and k % 2:
+        return conv2d(x, wv, padding=(k - 1) // 2, groups=groups)
+    return conv2d(_zero_insert(x, stride, k), wv, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +532,8 @@ def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            gx = np.zeros((n, c, h, w), dtype=g.dtype)
-            gshare = g / (k * k)
-            for i in range(k):
-                for j in range(k):
-                    gx[:, :, i:i + (oh - 1) * stride + 1:stride,
-                       j:j + (ow - 1) * stride + 1:stride] += gshare
-            x._accumulate(gx)
+            gshare = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
+            x._accumulate(_col2im(gshare, x.shape, k, stride, 1, oh, ow))
 
     return _make(np.ascontiguousarray(out), (x,), bwd)
 

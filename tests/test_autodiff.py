@@ -67,6 +67,42 @@ def test_injected_sign_flip_is_caught(monkeypatch):
     assert not rep.passed
 
 
+def test_injected_weight_view_sign_flip_is_caught(monkeypatch):
+    # the transposed conv runs as conv2d over a weight view; a wrong sign in
+    # the view's backward must show up in the weight gradient
+    orig = convmkit.tensor._transposed_weight
+
+    def flipped(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        bwd = out._backward
+        out._backward = lambda g: bwd(-g)
+        return out
+
+    monkeypatch.setattr(convmkit.tensor, "_transposed_weight", flipped)
+    rng = np.random.default_rng(3)
+    x = _t(rng, 1, 2, 5, 5)
+    w = _t(rng, 2, 2, 3, 3)
+    rep = gradcheck(lambda x, w: T.conv2d_transpose_cropped(x, w), [x, w],
+                    eps=1e-4, tol=1e-4)
+    assert not rep.passed
+    assert rep.per_input[0] < 1e-4  # the input gradient is untouched
+
+
+def test_no_grad_records_no_tape_and_restores_on_error():
+    x = Tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float64)
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        y = T.relu(x)  # the inner block must not switch the tape back on
+    assert y._parents == () and y._backward is None and not y.requires_grad
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("boom")
+    assert T._NO_GRAD is False
+    z = T.relu(x)
+    assert z._parents == (x,) and z._backward is not None
+
+
 def test_checked_mode_flags_nonfinite_gradient():
     from convmkit.tensor import _make
 

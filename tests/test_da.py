@@ -319,6 +319,39 @@ class TestEvaluate:
         wrong = (preds + 1) % NUM_CLASSES
         assert evaluate(model, x, wrong, batch_size=4) == 0.0
 
+    def test_trained_model_evaluates_without_tape(self, monkeypatch):
+        model = tiny_model(seed=4, with_decoders=True)
+        sets = TestTrainingLoops().make_sets()
+        solver = SolverConfig(max_steps=1, batch_size=8, seed=6)
+        train_da(model, sets, DAConfig(freeze_set=[]), solver)
+        assert all(p.requires_grad for p in model.parameters().values())
+        forward = model.forward
+        states = []
+
+        def recording_forward(*args, **kwargs):
+            states.append(forward(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        evaluate(model, sets.target_x, sets.target_y, batch_size=8)
+        assert len(states) == 3
+        for st in states:
+            assert st.logits._parents == () and st.logits._backward is None
+        # the same forward outside evaluate still records the tape
+        assert model.predict(T.Tensor(sets.target_x[:8])) is not None
+        assert states[-1].logits._parents
+
+    def test_predictions_bitwise_equal_without_tape(self):
+        model = tiny_model(seed=2)
+        for p in model.parameters().values():
+            p.requires_grad = True
+        x, _ = fake_data(np.random.default_rng(1), 6)
+        taped = model.forward(T.Tensor(x), training=False).logits
+        with T.no_grad():
+            untaped = model.forward(T.Tensor(x), training=False).logits
+        assert taped._parents and not untaped._parents
+        assert taped.data.tobytes() == untaped.data.tobytes()
+
     def test_empty_set_rejected(self):
         model = tiny_model(seed=2)
         with pytest.raises(ValueError):

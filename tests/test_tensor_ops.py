@@ -73,13 +73,22 @@ class TestConv2d:
         w = np.zeros((64, 64 // 4, 3, 3))
         assert w.size == 64 * 64 * 9 // 4 == 9216
 
-    @pytest.mark.parametrize("stride,padding,dilation,groups", [
-        (1, 0, 1, 1), (2, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3, 1), (2, 2, 2, 4),
+    @pytest.mark.parametrize("stride,padding,dilation,groups,k", [
+        pytest.param(1, 0, 1, 1, 3, id="1-0-1-1"),
+        pytest.param(2, 1, 1, 1, 3, id="2-1-1-1"),
+        pytest.param(1, 2, 2, 2, 3, id="1-2-2-2"),
+        pytest.param(1, 3, 3, 1, 3, id="1-3-3-1"),
+        pytest.param(2, 2, 2, 4, 3, id="2-2-2-4"),
+        # 1x1: the input (strided for stride 2) is the column matrix
+        pytest.param(1, 0, 1, 1, 1, id="1x1-1-0-1-1"),
+        pytest.param(2, 0, 1, 1, 1, id="1x1-2-0-1-1"),
+        pytest.param(1, 0, 1, 2, 1, id="1x1-1-0-1-2"),
+        pytest.param(2, 0, 1, 2, 1, id="1x1-2-0-1-2"),
     ])
-    def test_matches_naive(self, stride, padding, dilation, groups):
+    def test_matches_naive(self, stride, padding, dilation, groups, k):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 4, 9, 9))
-        w = rng.standard_normal((8, 4 // groups, 3, 3))
+        w = rng.standard_normal((8, 4 // groups, k, k))
         got = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
                        stride, padding, dilation, groups).data
         want = conv2d_naive(x, w, stride, padding, dilation, groups)
