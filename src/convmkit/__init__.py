@@ -8,8 +8,7 @@ from .network import (NetworkSpec, Network, build_network, reference_spec,
 # note: the audit/gradcheck submodules each define a function of the same
 # name; re-export those under distinct names so convmkit.audit and
 # convmkit.gradcheck stay bound to the modules
-from .audit import (ParamReport, count_network, count_branch1,
-                    count_branch2, count_branch3, solve_groups,
+from .audit import (ParamReport, count_network, branch_counts, solve_groups,
                     REFERENCE_COUNTS, REFERENCE_TOTAL)
 from .audit import audit as audit_params
 from .mmd import gaussian_kernel, median_bandwidth, mmd_loss

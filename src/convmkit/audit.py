@@ -10,7 +10,7 @@ import io
 import csv
 from dataclasses import dataclass, field
 
-from .layers import ConvMConfig
+from .layers import BRANCHES, ConvMConfig
 from .network import NetworkSpec
 
 # Table of golden per-layer counts for the reference network, keyed by
@@ -35,32 +35,22 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-def count_branch1(cfg: ConvMConfig) -> int:
-    """1x1 projection plus two grouped k x k convs of the regular branch."""
+def branch_counts(cfg: ConvMConfig) -> tuple[int, int, int]:
+    """Weights of each branch in ``BRANCHES`` order: the 1x1 projection plus
+    two grouped k x k convs. Dilation and the transposed conv's crop add no
+    weights."""
     k2 = cfg.k * cfg.k
-    return (cfg.n_in * cfg.c1
-            + _exact_div(cfg.c1 * cfg.c2 * k2, cfg.groups, "branch1 c2")
-            + _exact_div(cfg.c2 * cfg.c3 * k2, cfg.groups, "branch1 c3"))
-
-
-def count_branch2(cfg: ConvMConfig) -> int:
-    """Dilated branch; dilation adds no weights."""
-    k2 = cfg.k * cfg.k
-    return (cfg.n_in * cfg.c4
-            + _exact_div(cfg.c4 * cfg.dic1 * k2, cfg.groups, "branch2 dic1")
-            + _exact_div(cfg.dic1 * cfg.dic2 * k2, cfg.groups, "branch2 dic2"))
-
-
-def count_branch3(cfg: ConvMConfig) -> int:
-    """Transposed-conv branch; the crop adds no weights."""
-    k2 = cfg.k * cfg.k
-    return (cfg.n_in * cfg.c5
-            + _exact_div(cfg.c5 * cfg.dec1 * k2, cfg.groups, "branch3 dec1")
-            + _exact_div(cfg.dec1 * cfg.dec2 * k2, cfg.groups, "branch3 dec2"))
+    counts = []
+    for b, names in enumerate(BRANCHES, start=1):
+        proj, mid, out = (getattr(cfg, name) for name in names)
+        counts.append(cfg.n_in * proj
+                      + _exact_div(proj * mid * k2, cfg.groups, f"branch{b} {names[1]}")
+                      + _exact_div(mid * out * k2, cfg.groups, f"branch{b} {names[2]}"))
+    return tuple(counts)
 
 
 def count_conv_m(cfg: ConvMConfig) -> int:
-    return count_branch1(cfg) + count_branch2(cfg) + count_branch3(cfg)
+    return sum(branch_counts(cfg))
 
 
 @dataclass
@@ -146,20 +136,16 @@ def count_network(spec: NetworkSpec) -> ParamReport:
 def solve_groups(cfg: ConvMConfig, target_count: int) -> int:
     """Invert the three branch formulas: find the unique positive integer g
     with projection_count + grouped_count/g == target_count."""
-    proj = cfg.n_in * (cfg.c1 + cfg.c4 + cfg.c5)
-    k2 = cfg.k * cfg.k
-    grouped = k2 * (cfg.c1 * cfg.c2 + cfg.c2 * cfg.c3
-                    + cfg.c4 * cfg.dic1 + cfg.dic1 * cfg.dic2
-                    + cfg.c5 * cfg.dec1 + cfg.dec1 * cfg.dec2)
+    plan = [[getattr(cfg, name) for name in names] for names in BRANCHES]
+    proj = cfg.n_in * sum(p for p, _, _ in plan)
+    grouped = cfg.k * cfg.k * sum(p * m + m * o for p, m, o in plan)
     rem = target_count - proj
     if rem <= 0:
         raise ValueError(f"target {target_count} at or below the projection floor {proj}")
     if grouped % rem:
         raise ValueError(f"no integer group count reaches {target_count}")
     g = grouped // rem
-    channels = (cfg.c1, cfg.c2, cfg.c3, cfg.c4, cfg.dic1, cfg.dic2,
-                cfg.c5, cfg.dec1, cfg.dec2)
-    if any(c % g for c in channels):
+    if any(c % g for channels in plan for c in channels):
         raise ValueError(f"derived group count {g} does not divide the channel plan")
     return g
 

@@ -22,7 +22,8 @@ from .config import RunConfig, load_config, save_config
 from .da import (DAConfig, DADatasets, SolverConfig, evaluate as da_evaluate,
                  metric_columns, mmd_taps, train_da)
 from .gradcheck import gradcheck, run_default_suite, _t
-from .network import attach_da_heads, attach_decoders, build_network
+from .network import (attach_da_heads, attach_decoders, build_network,
+                      reference_spec, tiny_spec)
 
 
 @click.group()
@@ -43,10 +44,13 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
     """Count parameters layer by layer and diff against the golden table."""
+    named = {"reference": reference_spec, "tiny": tiny_spec}
     if config_path:
         spec = load_config(config_path).resolve_spec()
+    elif spec_name in named:
+        spec = named[spec_name]()
     else:
-        spec = RunConfig(network=spec_name, num_classes=1000, input_size=224).resolve_spec()
+        spec = RunConfig(network=spec_name).resolve_spec()
     if golden is None:
         golden = spec_name == "reference" and not config_path
     reference = REFERENCE_COUNTS if golden else None
@@ -155,15 +159,11 @@ def _load_data(cfg: RunConfig):
     return DADatasets(source_x=sx, source_y=sy, target_x=tx, target_y=ty), stats
 
 
-def _build_model(cfg: RunConfig, *, for_da: bool, with_decoders: bool = False):
+def _build_model(cfg: RunConfig):
+    """The test-time predictor: the encoder with the DA prediction head."""
     rng = np.random.default_rng(cfg.solver.seed)
-    spec = cfg.resolve_spec(include_classifier=True)
-    net = build_network(spec, rng=rng)
-    if for_da:
-        attach_da_heads(net, cfg.num_classes, rng=rng)
-        if with_decoders:
-            attach_decoders(net, rng=rng)
-    return net
+    net = build_network(cfg.resolve_spec(), rng=rng)
+    return attach_da_heads(net, cfg.num_classes, rng=rng)
 
 
 def _write_metrics(path, columns, history):
@@ -196,7 +196,7 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
     data, stats = _load_data(cfg)
     # decoders are attached after any resume load: checkpoints hold only the
     # test-time predictor, so a source-only one can seed DA fine-tuning
-    model = _build_model(cfg, for_da=True)
+    model = _build_model(cfg)
     if resume_path:
         meta = ckpt_mod.read_meta(resume_path)
         if meta["census"] != model.param_census():
@@ -225,13 +225,9 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
 def cmd_eval(config_path, ckpt_path, split):
     """Top-1 accuracy of a checkpoint on the labeled source or target split."""
     cfg = load_config(config_path) if config_path else RunConfig()
-    meta = ckpt_mod.read_meta(ckpt_path)
     data, _ = _load_data(cfg)
-    model = _build_model(cfg, for_da=True)
-    model.decoders = None
-    ckpt_mod.load(model, ckpt_path)
-    assert not any(n.startswith("decoder") for n in model.parameters()), \
-        "eval-mode model must not carry decoder parameters"
+    model = _build_model(cfg)
+    meta = ckpt_mod.load(model, ckpt_path)
     x, y = ((data.source_x, data.source_y) if split == "source"
             else (data.target_x, data.target_y))
     acc = da_evaluate(model, x, y, batch_size=cfg.solver.batch_size)
@@ -249,21 +245,19 @@ def cmd_export_features(config_path, ckpt_path, images_path, layer, out_dir):
     """Dump activation maps at a named tap; conv_m taps yield one TDF per
     branch (c3 / dic2 / dec2)."""
     cfg = load_config(config_path) if config_path else RunConfig()
-    model = _build_model(cfg, for_da=True)
-    model.decoders = None
-    ckpt_mod.load(model, ckpt_path)
+    model = _build_model(cfg)
+    try:
+        (i,) = model.spec.layer_indices([layer], "--layer")
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+    meta = ckpt_mod.load(model, ckpt_path)
     p = Path(images_path)
     files = sorted(p.glob("*.tdf")) if p.is_dir() else [p]
     x = np.stack([tdf.read(f) for f in files])
-    meta = ckpt_mod.read_meta(ckpt_path)
     if "stats" in meta:
         x = synth_mod.normalize(x, meta["stats"])
     with T.no_grad():
         st = model.forward(T.Tensor(x, dtype=model.dtype), training=False)
-    names = {model.spec.layer_name(i): i for i in range(len(model.spec.layers))}
-    if layer not in names:
-        raise click.ClickException(f"unknown layer {layer!r}; have {sorted(names)}")
-    i = names[layer]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if i in st.branch_taps:

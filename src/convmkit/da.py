@@ -77,21 +77,10 @@ def default_freeze_set(net: Network) -> list[str]:
     return [net.spec.layer_name(i) for i in stem + net.spec.conv_m_indices()[:3]]
 
 
-def _layer_indices(model: Network, names, option: str) -> list[int]:
-    """Spec indices of the named layers; a ValueError names any unknown one
-    together with the valid names."""
-    index = {model.spec.layer_name(i): i for i in range(len(model.spec.layers))}
-    unknown = [n for n in names if n not in index]
-    if unknown:
-        raise ValueError(f"{option}: unknown layer name(s) {unknown}; "
-                         f"valid names are {list(index)}")
-    return [index[n] for n in names]
-
-
 def mmd_taps(model: Network, cfg: DAConfig) -> list[int]:
     """Spec indices of the MMD taps (default: last three conv_m outputs)."""
     taps = cfg.mmd_layers or default_mmd_layers(model)
-    return _layer_indices(model, taps, "mmd_layers")
+    return model.spec.layer_indices(taps, "mmd_layers")
 
 
 def metric_columns(n_taps: int) -> list[str]:
@@ -244,7 +233,7 @@ def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
     cfg.validate()
     n_taps = len(mmd_taps(model, cfg))
     freeze = cfg.freeze_set if cfg.freeze_set is not None else default_freeze_set(model)
-    _layer_indices(model, freeze, "freeze_set")
+    model.spec.layer_indices(freeze, "freeze_set")
     rng = np.random.default_rng(solver.seed)
     sampler = DomainSampler(datasets.source_x, datasets.source_y,
                             datasets.target_x, solver.batch_size, rng)

@@ -36,19 +36,19 @@ class Conv2d:
 
 
 class ConvTranspose2dCropped:
-    """Transposed convolution center-cropped back to the input size."""
+    """Stride-1 transposed convolution center-cropped back to the input size."""
 
-    def __init__(self, cin, cout, k, stride=1, groups=1, *, rng, dtype=np.float32):
+    def __init__(self, cin, cout, k, groups=1, *, rng, dtype=np.float32):
         if cin % groups or cout % groups:
             raise ValueError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
-        self.stride, self.groups = stride, groups
+        self.groups = groups
         self.weight = _he_weight((cin, cout // groups, k, k), (cin // groups) * k * k, rng, dtype)
 
     def parameters(self):
         return [("weight", self.weight)]
 
     def __call__(self, x):
-        return T.conv2d_transpose_cropped(x, self.weight, self.stride, self.groups)
+        return T.conv2d_transpose_cropped(x, self.weight, groups=self.groups)
 
 
 class Linear:
@@ -62,15 +62,18 @@ class Linear:
         return T.linear(x, self.weight)
 
 
+# The three branches of the module: regular, dilated (at ``dilations``) and
+# cropped transposed convs. Each is a 1x1 ungrouped projection followed by
+# two k x k convs in ``groups`` channel groups, a ReLU after every conv and
+# one dropout; its last conv names its tap. Parameter order, the audit's
+# counts and the channel-plan checks all read this table.
+BRANCHES = (("c1", "c2", "c3"), ("c4", "dic1", "dic2"), ("c5", "dec1", "dec2"))
+
+
 @dataclass
 class ConvMConfig:
-    """Channel plan and hyper-parameters of one three-branch module.
-
-    Branch pipelines: c1-c2-c3-dropout (regular convs), c4-dic1-dic2-dropout
-    (dilated convs), c5-dec1-dec2-dropout (cropped transposed convs). The
-    projections c1/c4/c5 are 1x1, ungrouped, stride 1; everything else uses
-    kernel ``k`` split into ``groups`` channel groups.
-    """
+    """Channel plan (one field per ``BRANCHES`` name) and hyper-parameters of
+    one three-branch module."""
 
     n_in: int
     c1: int
@@ -89,15 +92,16 @@ class ConvMConfig:
 
     @property
     def out_channels(self) -> int:
-        return self.c3 + self.dic2 + self.dec2
+        return sum(getattr(self, branch[-1]) for branch in BRANCHES)
 
     def validate(self) -> None:
-        for name in ("n_in", "c1", "c2", "c3", "c4", "dic1", "dic2", "c5", "dec1", "dec2"):
+        channels = [name for branch in BRANCHES for name in branch]
+        for name in ("n_in", *channels):
             if getattr(self, name) < 1:
                 raise ValueError(f"ConvMConfig.{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        for name in ("c1", "c2", "c3", "c4", "dic1", "dic2", "c5", "dec1", "dec2"):
+        for name in channels:
             if getattr(self, name) % self.groups:
                 raise ValueError(
                     f"{name}={getattr(self, name)} not divisible by groups={self.groups}")
@@ -132,48 +136,44 @@ def dilation_rate_for(d: int, k: int = 3) -> int:
 
 
 class ConvM:
-    """Three parallel branches concatenated along channels; spatial size is
-    preserved end to end. ReLU follows all nine convs, one dropout per branch."""
+    """Three parallel branches (``BRANCHES``) concatenated along channels;
+    spatial size is preserved end to end."""
 
     def __init__(self, cfg: ConvMConfig, *, rng, dtype=np.float32):
         cfg.validate()
         self.cfg = cfg
         k, g = cfg.k, cfg.groups
-        d1, d2 = cfg.dilations
         kw = dict(rng=rng, dtype=dtype)
-        self.c1 = Conv2d(cfg.n_in, cfg.c1, 1, **kw)
-        self.c2 = Conv2d(cfg.c1, cfg.c2, k, padding=(k - 1) // 2, groups=g, **kw)
-        self.c3 = Conv2d(cfg.c2, cfg.c3, k, padding=(k - 1) // 2, groups=g, **kw)
-        self.c4 = Conv2d(cfg.n_in, cfg.c4, 1, **kw)
-        self.dic1 = Conv2d(cfg.c4, cfg.dic1, k, padding=d1 * (k - 1) // 2,
-                           dilation=d1, groups=g, **kw)
-        self.dic2 = Conv2d(cfg.dic1, cfg.dic2, k, padding=d2 * (k - 1) // 2,
-                           dilation=d2, groups=g, **kw)
-        self.c5 = Conv2d(cfg.n_in, cfg.c5, 1, **kw)
-        self.dec1 = ConvTranspose2dCropped(cfg.c5, cfg.dec1, k, groups=g, **kw)
-        self.dec2 = ConvTranspose2dCropped(cfg.dec1, cfg.dec2, k, groups=g, **kw)
-
-    _SUBS = ("c1", "c2", "c3", "c4", "dic1", "dic2", "c5", "dec1", "dec2")
+        _, dilated, transposed = BRANCHES
+        for branch in BRANCHES:
+            proj, *convs = branch
+            cin = getattr(cfg, proj)
+            setattr(self, proj, Conv2d(cfg.n_in, cin, 1, **kw))
+            rates = cfg.dilations if branch is dilated else (1, 1)
+            for name, d in zip(convs, rates):
+                cout = getattr(cfg, name)
+                if branch is transposed:
+                    conv = ConvTranspose2dCropped(cin, cout, k, groups=g, **kw)
+                else:
+                    conv = Conv2d(cin, cout, k, padding=d * (k - 1) // 2,
+                                  dilation=d, groups=g, **kw)
+                setattr(self, name, conv)
+                cin = cout
 
     def parameters(self):
-        out = []
-        for sub in self._SUBS:
-            for pname, p in getattr(self, sub).parameters():
-                out.append((f"{sub}.{pname}", p))
-        return out
+        return [(f"{sub}.{pname}", p) for branch in BRANCHES for sub in branch
+                for pname, p in getattr(self, sub).parameters()]
 
     def __call__(self, x, *, training=False, rng=None):
         out, _ = self.forward_with_taps(x, training=training, rng=rng)
         return out
 
     def forward_with_taps(self, x, *, training=False, rng=None):
-        r = self.cfg.dropout
-        b1 = T.relu(self.c3(T.relu(self.c2(T.relu(self.c1(x))))))
-        b1d = T.dropout(b1, r, training, rng)
-        b2 = T.relu(self.dic2(T.relu(self.dic1(T.relu(self.c4(x))))))
-        b2d = T.dropout(b2, r, training, rng)
-        b3 = T.relu(self.dec2(T.relu(self.dec1(T.relu(self.c5(x))))))
-        b3d = T.dropout(b3, r, training, rng)
-        out = T.concat([b1d, b2d, b3d], axis=1)
-        taps = {"c3": b1, "dic2": b2, "dec2": b3}
-        return out, taps
+        outs, taps = [], {}
+        for branch in BRANCHES:
+            y = x
+            for sub in branch:
+                y = T.relu(getattr(self, sub)(y))
+            taps[branch[-1]] = y
+            outs.append(T.dropout(y, self.cfg.dropout, training, rng))
+        return T.concat(outs, axis=1), taps

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .layers import Conv2d, ConvM, ConvMConfig, ConvTranspose2dCropped, Linear
+from .layers import BRANCHES, Conv2d, ConvM, ConvMConfig, Linear
 from .tensor import Tensor
 
 LAYER_KINDS = ("input", "conv", "maxpool", "conv_m", "avgpool", "linear")
@@ -35,6 +35,10 @@ class LayerSpec:
                 raise ValueError(f"layer spec key {key!r} is no longer supported; "
                                  "freeze layers with the run config's da.freeze_set")
         p = dict(d.get("params", {}))
+        if "regular_only" in p:
+            raise ValueError("layer spec param 'regular_only' is no longer supported; "
+                             "the regular-conv ablation is cfg.dilations [1, 1] "
+                             "(network.regular_conv_spec)")
         if d["kind"] == "conv_m":
             p["cfg"] = ConvMConfig.from_dict(p["cfg"])
         return cls(kind=d["kind"], params=p)
@@ -73,6 +77,16 @@ class NetworkSpec:
 
     def layer_name(self, i: int) -> str:
         return f"layer{i + 1}"
+
+    def layer_indices(self, names, option: str) -> list[int]:
+        """Indices of the named layers; a ValueError names ``option``, any
+        unknown name and the valid names."""
+        index = {self.layer_name(i): i for i in range(len(self.layers))}
+        unknown = [n for n in names if n not in index]
+        if unknown:
+            raise ValueError(f"{option}: unknown layer name(s) {unknown}; "
+                             f"valid names are {list(index)}")
+        return [index[n] for n in names]
 
 
 def _ceil_pool(h, k, s):
@@ -132,7 +146,7 @@ def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
 # reference and tiny specs
 # ---------------------------------------------------------------------------
 
-# (c1, c2, c3, c4, dic1, dic2, c5, dec1, dec2) per module, in depth order
+# channel plan per module in ``BRANCHES`` order, modules in depth order
 _REFERENCE_PLANS = [
     (64, 64, 64, 64, 64, 64, 32, 32, 32),
     (128, 128, 128, 128, 128, 128, 64, 64, 64),
@@ -145,7 +159,7 @@ _REFERENCE_PLANS = [
 
 
 def _cfg(n_in, plan, **kw):
-    names = ("c1", "c2", "c3", "c4", "dic1", "dic2", "c5", "dec1", "dec2")
+    names = [name for branch in BRANCHES for name in branch]
     return ConvMConfig(n_in=n_in, **dict(zip(names, plan)), **kw)
 
 
@@ -198,14 +212,13 @@ def tiny_spec(num_classes: int = 10, input_size: int = 32,
 
 
 def regular_conv_spec(spec: NetworkSpec) -> NetworkSpec:
-    """Ablation variant: dilated and transposed branches become regular convs
-    with the same channel plan (dilation rates 1; weights are unaffected, so
-    the parameter census is unchanged)."""
+    """Ablation variant: every branch is regular convs with the same channel
+    plan. Only the dilation rates change, to 1: the stride-1 cropped
+    transposed conv already is a "same" conv over a flipped weight view, and
+    the parameter census is unchanged."""
     out = NetworkSpec.from_dict(spec.to_dict())
     for i in out.conv_m_indices():
-        cfg = out.layers[i].params["cfg"]
-        cfg.dilations = (1, 1)
-        out.layers[i].params["regular_only"] = True
+        out.layers[i].params["cfg"].dilations = (1, 1)
     return out
 
 
@@ -253,10 +266,7 @@ class Network:
                                          padding=p.get("padding", 0),
                                          rng=rng, dtype=dtype)
             elif e.kind == "conv_m":
-                if p.get("regular_only"):
-                    self.modules[i] = RegularConvM(p["cfg"], rng=rng, dtype=dtype)
-                else:
-                    self.modules[i] = ConvM(p["cfg"], rng=rng, dtype=dtype)
+                self.modules[i] = ConvM(p["cfg"], rng=rng, dtype=dtype)
             elif e.kind == "linear":
                 feat = self.shapes[i - 1][0]
                 self.modules[i] = Linear(feat, p["out_features"], rng=rng, dtype=dtype)
@@ -344,19 +354,6 @@ class Network:
         if st.logits is None:
             raise ValueError("model has no classifier or head")
         return st.logits.data.argmax(axis=1)
-
-
-class RegularConvM(ConvM):
-    """Ablation module: identical channel plan, but the dilated convs run at
-    rate 1 and the transposed convs are replaced by regular same-size convs."""
-
-    def __init__(self, cfg: ConvMConfig, *, rng, dtype=np.float32):
-        cfg = ConvMConfig.from_dict({**cfg.to_dict(), "dilations": [1, 1]})
-        super().__init__(cfg, rng=rng, dtype=dtype)
-        k, g = cfg.k, cfg.groups
-        kw = dict(rng=rng, dtype=dtype)
-        self.dec1 = Conv2d(cfg.c5, cfg.dec1, k, padding=(k - 1) // 2, groups=g, **kw)
-        self.dec2 = Conv2d(cfg.dec1, cfg.dec2, k, padding=(k - 1) // 2, groups=g, **kw)
 
 
 # ---------------------------------------------------------------------------

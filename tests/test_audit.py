@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convmkit import audit as A
+from convmkit import tensor as T
 from convmkit.layers import ConvMConfig
 from convmkit.network import (NetworkSpec, build_network, reference_spec,
                               regular_conv_spec, tiny_spec)
@@ -16,7 +17,7 @@ LAYER13 = ConvMConfig(n_in=688, c1=160, c2=256, c3=280, c4=160, dic1=256,
 
 class TestBranchCounts:
     def test_layer4_branch1(self):
-        assert A.count_branch1(LAYER4) == 4096 + 9216 + 9216 == 22_528
+        assert A.branch_counts(LAYER4)[0] == 4096 + 9216 + 9216 == 22_528
 
     def test_layer4_total(self):
         assert A.count_conv_m(LAYER4) == 51_712
@@ -24,7 +25,7 @@ class TestBranchCounts:
     def test_unit_case(self):
         cfg = ConvMConfig(n_in=1, c1=1, c2=1, c3=1, c4=1, dic1=1, dic2=1,
                           c5=1, dec1=1, dec2=1, k=1, groups=1)
-        assert A.count_branch1(cfg) == A.count_branch2(cfg) == A.count_branch3(cfg) == 3
+        assert A.branch_counts(cfg) == (3, 3, 3)
 
     def test_layer13(self):
         assert A.count_conv_m(LAYER13) == 826_368
@@ -33,7 +34,7 @@ class TestBranchCounts:
         cfg = ConvMConfig(n_in=4, c1=4, c2=4, c3=4, c4=4, dic1=4, dic2=4,
                           c5=4, dec1=4, dec2=4, groups=7)
         with pytest.raises(ValueError):
-            A.count_branch1(cfg)
+            A.branch_counts(cfg)
 
 
 class TestCountNetwork:
@@ -122,3 +123,18 @@ class TestFormulaVsAllocation:
         spec = spec_fn()
         net = build_network(spec, rng=np.random.default_rng(0))
         assert net.param_census() == A.count_network(spec).total
+
+
+class TestRegularConvAblation:
+    def test_ablated_network_runs_with_unchanged_census(self):
+        base = tiny_spec()
+        ablated = regular_conv_spec(base)
+        net = build_network(ablated, rng=np.random.default_rng(0))
+        for i in ablated.conv_m_indices():
+            assert net.modules[i].dic1.dilation == net.modules[i].dic2.dilation == 1
+        x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        st = net.forward(T.Tensor(x))
+        assert st.logits.shape == (2, 10)
+        assert np.all(np.isfinite(st.logits.data))
+        census = build_network(base, rng=np.random.default_rng(0)).param_census()
+        assert net.param_census() == census == A.count_network(base).total

@@ -75,6 +75,13 @@ class TestFormat:
         with pytest.raises(ValueError, match=f"'{key}'.*freeze_set"):
             LayerSpec.from_dict(d)
 
+    def test_regular_only_param_rejected(self):
+        d = tiny_spec().to_dict()["layers"][3]
+        assert d["kind"] == "conv_m"
+        d["params"]["regular_only"] = True
+        with pytest.raises(ValueError, match="'regular_only'.*dilations"):
+            LayerSpec.from_dict(d)
+
 
 class TestRejection:
     def test_spec_mismatch(self, tmp_path):

@@ -8,10 +8,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from convmkit import tdf
+from convmkit import checkpoint, tdf
 from convmkit.checkpoint import read_meta
 from convmkit.cli import main
-from convmkit.network import reference_spec
+from convmkit.audit import count_network
+from convmkit.network import Network, reference_spec, tiny_spec
 
 
 @pytest.fixture
@@ -72,6 +73,12 @@ class TestAudit:
             rows = [r for r in csv.DictReader(f) if r["layer"].isdigit()]
         bad = [r for r in rows if r["diff"] not in ("", "0")]
         assert len(bad) == 1 and int(bad[0]["layer"]) == bumped
+
+    def test_tiny_audits_its_own_spec(self, runner):
+        res = runner.invoke(main, ["audit", "--spec", "tiny"])
+        assert res.exit_code == 0, res.output
+        total = count_network(tiny_spec()).total
+        assert res.output.strip().endswith(f"audit OK, total {total:,}")
 
     def test_report_file_written(self, runner, tmp_path):
         res = runner.invoke(main, ["audit", "--spec", "reference",
@@ -204,10 +211,31 @@ class TestTrainEvalExport:
         assert res.exit_code != 0
         assert "unknown layer" in res.output
 
+    def test_export_checks_layer_before_any_work(self, runner, tmp_path,
+                                                 monkeypatch):
+        cfg = small_config(tmp_path)
+        runner.invoke(main, ["train", "--config", str(cfg)], catch_exceptions=False)
+
+        img = tmp_path / "probe.tdf"
+        tdf.write(img, np.zeros((3, 32, 32), np.float32))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the layer check")
+
+        monkeypatch.setattr(Network, "forward", no_work)
+        monkeypatch.setattr(checkpoint, "load", no_work)
+        res = runner.invoke(main, [
+            "export-features", "--config", str(cfg),
+            "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
+            "--images", str(img), "--layer", "layer99",
+            "--out", str(tmp_path / "feats")])
+        assert res.exit_code != 0
+        assert "unknown layer" in res.output
+
 
 class TestImportImages:
     def test_roundtrip_through_training_reader(self, runner, tmp_path):
-        from tests.test_ingest import write_png
+        from test_ingest import write_png
         rng = np.random.default_rng(5)
         for dom in ("source", "target"):
             for cname in ("a", "b"):

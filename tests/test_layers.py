@@ -45,6 +45,20 @@ def test_zero_input_gives_zero_output():
     assert np.all(out.data == 0.0)
 
 
+def test_parameter_layout_pinned():
+    # checkpoints store these names and shapes; the transposed convs keep the
+    # [Cin, Cout/g, k, k] layout
+    cfg = ConvMConfig(n_in=4, c1=8, c2=12, c3=16, c4=8, dic1=12, dic2=16,
+                      c5=4, dec1=8, dec2=12, groups=4)
+    m = ConvM(cfg, rng=np.random.default_rng(0))
+    assert [(n, p.shape) for n, p in m.parameters()] == [
+        ("c1.weight", (8, 4, 1, 1)), ("c2.weight", (12, 2, 3, 3)),
+        ("c3.weight", (16, 3, 3, 3)), ("c4.weight", (8, 4, 1, 1)),
+        ("dic1.weight", (12, 2, 3, 3)), ("dic2.weight", (16, 3, 3, 3)),
+        ("c5.weight", (4, 4, 1, 1)), ("dec1.weight", (4, 2, 3, 3)),
+        ("dec2.weight", (8, 3, 3, 3))]
+
+
 def test_branch_taps_exposed():
     rng = np.random.default_rng(1)
     m = ConvM(LAYER4_CFG, rng=rng)
