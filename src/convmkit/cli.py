@@ -49,8 +49,11 @@ def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
         spec = load_config(config_path).resolve_spec()
     elif spec_name in named:
         spec = named[spec_name]()
-    else:
+    elif Path(spec_name).is_file():
         spec = RunConfig(network=spec_name).resolve_spec()
+    else:
+        raise click.BadParameter(f"{spec_name!r} is not 'tiny', 'reference' or "
+                                 "a spec YAML path", param_hint="'--spec'")
     if golden is None:
         golden = spec_name == "reference" and not config_path
     reference = REFERENCE_COUNTS if golden else None
@@ -198,12 +201,10 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
     # test-time predictor, so a source-only one can seed DA fine-tuning
     model = _build_model(cfg)
     if resume_path:
-        meta = ckpt_mod.read_meta(resume_path)
-        if meta["census"] != model.param_census():
-            raise click.ClickException(
-                f"checkpoint census {meta['census']} != model census "
-                f"{model.param_census()}")
-        ckpt_mod.load(model, resume_path)
+        try:
+            ckpt_mod.load(model, resume_path)
+        except ckpt_mod.CheckpointError as exc:
+            raise click.ClickException(str(exc)) from exc
 
     if cfg.mode == "da":
         attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))

@@ -28,12 +28,11 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     out_dir: str = "runs/out"
 
-    def resolve_spec(self, include_classifier: bool = True) -> NetworkSpec:
+    def resolve_spec(self) -> NetworkSpec:
         if self.network == "tiny":
-            return tiny_spec(self.num_classes, self.input_size,
-                             include_classifier=include_classifier)
+            return tiny_spec(self.num_classes, self.input_size)
         if self.network == "reference":
-            return reference_spec(self.num_classes, include_classifier=include_classifier)
+            return reference_spec(self.num_classes)
         with open(self.network) as f:
             return NetworkSpec.from_dict(yaml.safe_load(f))
 

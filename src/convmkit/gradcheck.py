@@ -136,11 +136,13 @@ def default_suite(rng: np.random.Generator | None = None):
                   [_spread(rng, 1, 2, 7, 7)]))
     cases.append(("avgpool", lambda x: T.avgpool2d(x, 2, 2), [_t(rng, 2, 3, 6, 6)]))
 
-    def pool_unpool(x):
-        pooled, idx = T.maxpool2d_with_indices(x, 2, 2)
+    def pool_unpool(x, k=2):
+        pooled, idx = T.maxpool2d_with_indices(x, k, 2)
         return T.unpool2d(pooled, idx, x.shape[2:])
 
     cases.append(("unpool", pool_unpool, [_spread(rng, 1, 2, 6, 6)]))
+    # 3x3 windows at stride 2 overlap, so neighbouring cells can share an argmax
+    cases.append(("unpool_overlapping", lambda x: pool_unpool(x, 3), [_spread(rng, 1, 2, 7, 7)]))
 
     labels = rng.integers(0, 5, size=4)
     cases.append(("softmax_ce", lambda z: T.softmax_cross_entropy(z, labels),

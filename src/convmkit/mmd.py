@@ -22,13 +22,17 @@ def gaussian_kernel(x, y, sigma: float) -> float:
     return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, [Na, Nb]; clipped at zero against
-    cancellation noise."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d = aa + bb - 2.0 * (a @ b.T)
-    return np.maximum(d, 0.0)
+def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x``, [N, N].
+
+    One contiguous row reduction of (x_j - x_i)**2 per unordered pair, then
+    mirrored: an entry depends only on its pair, so the matrix is bitwise
+    symmetric with an exact zero diagonal, and the scratch stays O(N*D)."""
+    n = x.shape[0]
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        d[i, i + 1:] = np.sum((x[i + 1:] - x[i]) ** 2, axis=1)
+    return d + d.T
 
 
 def median_bandwidth(samples: np.ndarray) -> float:
@@ -37,8 +41,7 @@ def median_bandwidth(samples: np.ndarray) -> float:
     n = x.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 samples")
-    d2 = pairwise_sq_dists(x, x)
-    dists = np.sqrt(d2[np.triu_indices(n, k=1)])
+    dists = np.sqrt(pairwise_sq_dists(x)[np.triu_indices(n, k=1)])
     sigma = float(np.median(dists))
     if sigma == 0.0:
         raise ValueError("all pairwise distances are zero; perturb or skip")
@@ -49,7 +52,8 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
     """Differentiable biased MMD^2 between two feature matrices [N, D].
 
     mean(Kss) + mean(Ktt) - 2 mean(Kst) with a Gaussian kernel of bandwidth
-    ``sigma``; gradients flow into both feature sets (sigma is a constant).
+    ``sigma``, all three sliced from one kernel matrix over ``[s; t]``;
+    gradients flow into both feature sets (sigma is a constant).
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -59,35 +63,24 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
     ns, nt = fs.shape[0], ft.shape[0]
     if ns < 1 or nt < 1:
         raise ValueError("both sample sets must be non-empty")
-    s = fs.data.astype(np.float64)
-    t = ft.data.astype(np.float64)
-    inv = 1.0 / (2.0 * sigma * sigma)
-
-    def kmat(a, b):
-        # broadcast form: entries are bitwise symmetric under (a, b) swap
-        d = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-        return np.exp(-d * inv)
-
-    kss, ktt, kst = kmat(s, s), kmat(t, t), kmat(s, t)
+    x = np.concatenate([fs.data.astype(np.float64), ft.data.astype(np.float64)])
+    k = np.exp(-pairwise_sq_dists(x) * (1.0 / (2.0 * sigma * sigma)))
     # fsum is order-independent, making the estimator exactly symmetric
     # under a set swap and exactly zero on identical sets
-    value = (math.fsum(kss.ravel()) / (ns * ns)
-             + math.fsum(ktt.ravel()) / (nt * nt)
-             - 2.0 * math.fsum(kst.ravel()) / (ns * nt))
+    value = (math.fsum(k[:ns, :ns].ravel()) / (ns * ns)
+             + math.fsum(k[ns:, ns:].ravel()) / (nt * nt)
+             - 2.0 * math.fsum(k[:ns, ns:].ravel()) / (ns * nt))
 
     def bwd(g):
         g = float(np.asarray(g).reshape(()))
-        c = g / (sigma * sigma)
+        # MMD^2 = w^T K w with w = +1/Ns on source rows, -1/Nt on target rows;
+        # d/dx_a = (2/sigma^2) w_a sum_j w_j K[a,j] (x_j - x_a)
+        w = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
+        grad = (2.0 * g / (sigma * sigma)) * w[:, None] * ((k * w) @ x - (k @ w)[:, None] * x)
         if fs.requires_grad:
-            # d mean(Kss)/ds_a = (2/Ns^2) sum_j Kss[a,j] (s_j - s_a) / sigma^2
-            gs = (2.0 / (ns * ns)) * (kss @ s - kss.sum(axis=1)[:, None] * s)
-            # d(-2 mean(Kst))/ds_a = (2/(Ns Nt)) sum_j Kst[a,j] (s_a - t_j) / sigma^2
-            gs += (2.0 / (ns * nt)) * (kst.sum(axis=1)[:, None] * s - kst @ t)
-            fs._accumulate((c * gs).astype(fs.dtype))
+            fs._accumulate(grad[:ns].astype(fs.dtype))
         if ft.requires_grad:
-            gt = (2.0 / (nt * nt)) * (ktt @ t - ktt.sum(axis=1)[:, None] * t)
-            gt += (2.0 / (ns * nt)) * (kst.sum(axis=0)[:, None] * t - kst.T @ s)
-            ft._accumulate((c * gt).astype(ft.dtype))
+            ft._accumulate(grad[ns:].astype(ft.dtype))
 
     return _make(np.asarray(value, dtype=fs.dtype).reshape(()), (fs, ft), bwd)
 

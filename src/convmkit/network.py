@@ -163,9 +163,9 @@ def _cfg(n_in, plan, **kw):
     return ConvMConfig(n_in=n_in, **dict(zip(names, plan)), **kw)
 
 
-def reference_spec(num_classes: int = 1000, include_classifier: bool = True) -> NetworkSpec:
+def reference_spec(num_classes: int = 1000) -> NetworkSpec:
     """The full 224x224 network: 7x7 stem, four pooling stages, seven
-    three-branch modules, global average pooling, optional linear classifier."""
+    three-branch modules, global average pooling, linear classifier."""
     layers = [
         LayerSpec("input", {"channels": 3, "height": 224, "width": 224}),
         LayerSpec("conv", {"out_channels": 64, "k": 7, "stride": 1, "padding": 3}),
@@ -181,14 +181,12 @@ def reference_spec(num_classes: int = 1000, include_classifier: bool = True) -> 
         LayerSpec("conv_m", {"cfg": _cfg(576, _REFERENCE_PLANS[5])}),
         LayerSpec("conv_m", {"cfg": _cfg(688, _REFERENCE_PLANS[6])}),
         LayerSpec("avgpool", {"k": 14, "stride": 1}),
+        LayerSpec("linear", {"out_features": num_classes}),
     ]
-    if include_classifier:
-        layers.append(LayerSpec("linear", {"out_features": num_classes}))
     return NetworkSpec(layers)
 
 
-def tiny_spec(num_classes: int = 10, input_size: int = 32,
-              include_classifier: bool = True) -> NetworkSpec:
+def tiny_spec(num_classes: int = 10, input_size: int = 32) -> NetworkSpec:
     """Desk-scale profile: 32x32 input, channel counts divided by 8 and the
     pooling chain shortened to three stages."""
     s = input_size
@@ -206,8 +204,7 @@ def tiny_spec(num_classes: int = 10, input_size: int = 32,
     for _ in range(3):
         spatial = _ceil_pool(spatial, 3, 2)
     layers.append(LayerSpec("avgpool", {"k": spatial, "stride": 1}))
-    if include_classifier:
-        layers.append(LayerSpec("linear", {"out_features": num_classes}))
+    layers.append(LayerSpec("linear", {"out_features": num_classes}))
     return NetworkSpec(layers)
 
 
@@ -264,6 +261,7 @@ class Network:
                 self.modules[i] = Conv2d(c, p["out_channels"], p["k"],
                                          stride=p.get("stride", 1),
                                          padding=p.get("padding", 0),
+                                         groups=p.get("groups", 1),
                                          rng=rng, dtype=dtype)
             elif e.kind == "conv_m":
                 self.modules[i] = ConvM(p["cfg"], rng=rng, dtype=dtype)

@@ -499,22 +499,29 @@ def maxpool2d_with_indices(x: Tensor, k: int, stride: int):
 
 def unpool2d(x: Tensor, indices: np.ndarray, target_hw) -> Tensor:
     """Scatter pooled values back to their recorded argmax positions; every
-    other element of the [N, C, H, W] output is zero."""
+    other element of the [N, C, H, W] output is zero. A position shared by
+    overlapping windows belongs to the last cell in row-major order alone."""
     n, c, oh, ow = x.shape
     if indices.shape != x.shape:
         raise ValueError(f"unpool2d: indices shape {indices.shape} != input {x.shape}")
     h, w = target_hw
     if indices.min() < 0 or indices.max() >= h * w:
         raise ValueError("unpool2d: index out of target bounds")
-    flat_idx = indices.reshape(n * c, oh * ow)
-    rows = np.arange(n * c)[:, None]
+    lin = (indices.reshape(n * c, oh * ow) + np.arange(n * c)[:, None] * (h * w)).ravel()
+    # fancy assignment leaves the winner among duplicate indices undefined
+    cells = np.arange(lin.size)
+    owner = np.full(n * c * h * w, -1)
+    np.maximum.at(owner, lin, cells)
+    owned = np.flatnonzero(owner[lin] == cells)
+    dst = lin[owned]
 
-    out = np.zeros((n * c, h * w), dtype=x.dtype)
-    out[rows, flat_idx] = x.data.reshape(n * c, oh * ow)
+    out = np.zeros(n * c * h * w, dtype=x.dtype)
+    out[dst] = x.data.ravel()[owned]
 
     def bwd(g):
         if x.requires_grad:
-            gx = g.reshape(n * c, h * w)[rows, flat_idx]
+            gx = np.zeros(x.size, dtype=g.dtype)
+            gx[owned] = g.ravel()[dst]
             x._accumulate(gx.reshape(x.shape))
 
     return _make(out.reshape(n, c, h, w), (x,), bwd)

@@ -209,7 +209,9 @@ def test_criterion_09_desk_scale_adaptation():
     mmd_ok = all(final < first for first, final in mmd_drops)
     ok = gap >= 0.05 and mmd_ok and per_seed < 1800.0
     _report(9, "DA beats source-only by >= 5 points and final MMD drops", ok,
-            f"gap={100 * gap:.1f}pts, mmd={mmd_drops}, {per_seed:.0f}s/seed")
+            f"gap={100 * gap:.1f}pts, per seed "
+            f"{[round(100 * (d - s), 1) for d, s in zip(da_acc, src_acc)]}pts, "
+            f"mmd={mmd_drops}, {per_seed:.0f}s/seed")
 
 
 def test_criterion_10_dropout_statistics():

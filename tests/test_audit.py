@@ -124,6 +124,13 @@ class TestFormulaVsAllocation:
         net = build_network(spec, rng=np.random.default_rng(0))
         assert net.param_census() == A.count_network(spec).total
 
+    def test_census_matches_with_grouped_stem(self):
+        spec = tiny_spec()
+        spec.layers[1].params.update(out_channels=9, groups=3)
+        spec.layers[3].params["cfg"].n_in = 9
+        net = build_network(spec, rng=np.random.default_rng(0))
+        assert net.param_census() == A.count_network(spec).total == 16_389
+
 
 class TestRegularConvAblation:
     def test_ablated_network_runs_with_unchanged_census(self):

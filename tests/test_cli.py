@@ -2,6 +2,7 @@
 
 import csv
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -79,6 +80,11 @@ class TestAudit:
         assert res.exit_code == 0, res.output
         total = count_network(tiny_spec()).total
         assert res.output.strip().endswith(f"audit OK, total {total:,}")
+
+    def test_unknown_spec_is_a_usage_error(self, runner):
+        res = runner.invoke(main, ["audit", "--spec", "bogus"])
+        assert res.exit_code == 2
+        assert "'bogus' is not 'tiny', 'reference' or a spec YAML path" in res.output
 
     def test_report_file_written(self, runner, tmp_path):
         res = runner.invoke(main, ["audit", "--spec", "reference",
@@ -171,6 +177,24 @@ class TestTrainEvalExport:
                                    "--resume", str(ck)])
         assert res.exit_code == 0, res.output
         assert read_meta(tmp_path / "run2" / "checkpoint.zip")["mode"] == "da"
+
+    def test_resume_census_mismatch_is_a_clean_error(self, runner, tmp_path):
+        cfg = small_config(tmp_path)
+        runner.invoke(main, ["train", "--config", str(cfg)], catch_exceptions=False)
+        ck = tmp_path / "run" / "checkpoint.zip"
+        meta = read_meta(ck)
+        meta["census"] += 1
+        tampered = tmp_path / "tampered.zip"
+        with zipfile.ZipFile(ck) as src, zipfile.ZipFile(tampered, "w") as dst:
+            for name in src.namelist():
+                blob = json.dumps(meta) if name == "meta.json" else src.read(name)
+                dst.writestr(name, blob)
+        cfg2 = small_config(tmp_path, out_dir=str(tmp_path / "run2"))
+        res = runner.invoke(main, ["train", "--config", str(cfg2),
+                                   "--resume", str(tampered)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Error: parameter census mismatch" in res.output
 
     def test_eval_prints_accuracy(self, runner, tmp_path):
         cfg = small_config(tmp_path)

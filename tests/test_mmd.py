@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,4 +118,62 @@ def test_mmd_dim_mismatch():
 
 def test_pairwise_sq_dists_clipped_nonnegative():
     x = np.full((3, 2), 7.0)
-    assert np.all(pairwise_sq_dists(x, x) >= 0.0)
+    assert np.all(pairwise_sq_dists(x) >= 0.0)
+
+
+def test_pairwise_sq_dists_exact_symmetry_diagonal_and_permutation():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((9, 1000))
+    d = pairwise_sq_dists(x)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    perm = rng.permutation(9)
+    assert np.array_equal(pairwise_sq_dists(x[perm]), d[np.ix_(perm, perm)])
+
+
+def test_mmd_float32_swap_symmetry_at_width():
+    rng = np.random.default_rng(12)
+    s = rng.standard_normal((5, 3000)).astype(np.float32)
+    t = (rng.standard_normal((7, 3000)) + 0.2).astype(np.float32)
+    sigma = median_bandwidth(np.concatenate([s, t]))
+    ab = mmd_loss(Tensor(s), Tensor(t), sigma).data
+    ba = mmd_loss(Tensor(t), Tensor(s), sigma).data
+    assert ab.dtype == np.float32 and ab.tobytes() == ba.tobytes()
+
+
+def broadcast_mmd(s, t, sigma):
+    """Biased MMD^2 from three broadcast [Na, Nb, D] distance blocks."""
+    def kmat(a, b):
+        d = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        return np.exp(-d * (1.0 / (2.0 * sigma * sigma)))
+
+    ns, nt = len(s), len(t)
+    return (math.fsum(kmat(s, s).ravel()) / (ns * ns)
+            + math.fsum(kmat(t, t).ravel()) / (nt * nt)
+            - 2.0 * math.fsum(kmat(s, t).ravel()) / (ns * nt))
+
+
+@pytest.mark.parametrize("ns,nt,d", [(1, 1, 3), (3, 8, 7), (6, 4, 200), (9, 5, 1500)])
+def test_mmd_bitwise_equals_broadcast_reference(ns, nt, d):
+    rng = np.random.default_rng(d)
+    s = rng.standard_normal((ns, d))
+    t = rng.standard_normal((nt, d)) + 0.3
+    sigma = 0.8 * np.sqrt(d)
+    got = mmd_loss(Tensor(s, dtype=np.float64), Tensor(t, dtype=np.float64), sigma).item()
+    assert got == broadcast_mmd(s, t, sigma)
+
+
+def test_mmd_and_bandwidth_peak_memory_linear_in_rows():
+    # a broadcast [Nt, Nt, D] float64 Ktt temporary alone would be 25x both.nbytes
+    ns, nt, d = 24, 40, 4096
+    rng = np.random.default_rng(13)
+    s = Tensor(rng.standard_normal((ns, d)), requires_grad=True, dtype=np.float64)
+    t = Tensor(rng.standard_normal((nt, d)), requires_grad=True, dtype=np.float64)
+    both = np.concatenate([s.data, t.data])
+    tracemalloc.start()
+    try:
+        mmd_loss(s, t, median_bandwidth(both)).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * both.nbytes

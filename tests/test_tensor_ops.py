@@ -216,6 +216,15 @@ class TestPooling:
         unpooled = T.unpool2d(pooled, idx, (8, 8))
         assert np.isclose(unpooled.data.sum(), pooled.data.sum(), atol=1e-12)
 
+    def test_unpool_shared_position_goes_to_last_cell(self):
+        # two cells recorded the same argmax, as overlapping windows can
+        v = Tensor(np.array([[[[1.0, 2.0, 3.0]]]]), requires_grad=True, dtype=np.float64)
+        idx = np.array([[[[1, 1, 3]]]], dtype=np.int64)
+        out = T.unpool2d(v, idx, (2, 2))
+        assert out.data[0, 0].tolist() == [[0.0, 2.0], [0.0, 3.0]]
+        T.tsum(out).backward()
+        assert v.grad[0, 0, 0].tolist() == [0.0, 1.0, 1.0]
+
     def test_unpool_index_out_of_bounds(self):
         v = Tensor(np.ones((1, 1, 1, 1)))
         with pytest.raises(ValueError):
