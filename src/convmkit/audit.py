@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .layers import BRANCHES, ConvMConfig
-from .network import NetworkSpec
+from .network import NetworkSpec, propagate_shapes
 
 # Table of golden per-layer counts for the reference network, keyed by
 # 1-based layer index (layers without weights are absent).
@@ -103,33 +103,24 @@ class ParamReport:
 
 
 def count_network(spec: NetworkSpec) -> ParamReport:
-    """Per-layer weight counts for every layer that carries weights."""
+    """Per-layer weight counts for every layer that carries weights. Input
+    channels come from ``propagate_shapes``, so a spec whose shapes do not
+    chain is a ValueError naming the layer."""
+    shapes = propagate_shapes(spec)
     report = ParamReport()
-    prev_c = None
-    feat = None
-    for i, e in enumerate(spec.layers):
+    for i, e in enumerate(spec.layers[1:], start=1):
         p = e.params
-        layer_no = i + 1
-        if e.kind == "input":
-            prev_c = p["channels"]
-        elif e.kind == "conv":
-            g = p.get("groups", 1)
-            n = _exact_div(p["k"] * p["k"] * prev_c * p["out_channels"], g, f"layer {layer_no}")
-            report.entries.append(ReportEntry(layer_no, "conv", n))
-            prev_c = p["out_channels"]
+        c_in = shapes[i - 1][0]
+        if e.kind == "conv":
+            n = _exact_div(p["k"] * p["k"] * c_in * p["out_channels"],
+                           p.get("groups", 1), spec.layer_name(i))
         elif e.kind == "conv_m":
-            cfg = p["cfg"]
-            report.entries.append(ReportEntry(layer_no, "conv_m", count_conv_m(cfg)))
-            prev_c = cfg.out_channels
-            feat = prev_c
-        elif e.kind in ("maxpool", "avgpool"):
-            feat = prev_c
+            n = count_conv_m(p["cfg"])
         elif e.kind == "linear":
-            report.entries.append(ReportEntry(layer_no, "linear", feat * p["out_features"]))
-            feat = p["out_features"]
-            prev_c = feat
+            n = c_in * p["out_features"]
         else:
-            raise ValueError(f"unknown layer kind {e.kind!r}")
+            continue
+        report.entries.append(ReportEntry(i + 1, e.kind, n))
     return report
 
 

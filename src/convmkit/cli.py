@@ -46,7 +46,7 @@ def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
     """Count parameters layer by layer and diff against the golden table."""
     named = {"reference": reference_spec, "tiny": tiny_spec}
     if config_path:
-        spec = load_config(config_path).resolve_spec()
+        spec = _load_config(config_path).resolve_spec()
     elif spec_name in named:
         spec = named[spec_name]()
     elif Path(spec_name).is_file():
@@ -57,7 +57,10 @@ def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
     if golden is None:
         golden = spec_name == "reference" and not config_path
     reference = REFERENCE_COUNTS if golden else None
-    report = run_audit(spec, reference)
+    try:
+        report = run_audit(spec, reference)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(report.to_table())
     if solve_groups:
         click.echo("group-factor derivation:")
@@ -149,14 +152,23 @@ def cmd_import_images(root_dir, domains, out_dir):
     click.echo(f"dataset written under {out}")
 
 
+def _load_config(config_path) -> RunConfig:
+    """The run config at ``config_path`` (defaults when None); a bad key is
+    a usage error on ``--config``."""
+    if not config_path:
+        return RunConfig()
+    try:
+        return load_config(config_path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--config'") from exc
+
+
 def _load_data(cfg: RunConfig):
     if cfg.data_dir:
         (sx, sy), (tx, ty), stats = synth_mod.load_dataset(cfg.data_dir)
     else:
         sx, sy, tx, ty = synth_mod.generate(cfg.synth)
-        pooled = np.concatenate([sx, tx])
-        stats = {"mean": pooled.mean(axis=(0, 2, 3)).tolist(),
-                 "std": pooled.std(axis=(0, 2, 3)).tolist()}
+        stats = synth_mod.pooled_stats(sx, tx)
     sx = synth_mod.normalize(sx, stats)
     tx = synth_mod.normalize(tx, stats)
     return DADatasets(source_x=sx, source_y=sy, target_x=tx, target_y=ty), stats
@@ -185,7 +197,7 @@ def _write_metrics(path, columns, history):
 def cmd_train(config_path, mode, resume_path, seed, out_dir):
     """Source-only pre-training or DA fine-tuning; writes checkpoint, metrics
     CSV, and a copy of the effective config."""
-    cfg = load_config(config_path) if config_path else RunConfig()
+    cfg = _load_config(config_path)
     if mode:
         cfg.mode = mode
     if seed is not None:
@@ -211,8 +223,11 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
         da_cfg = cfg.da
     else:
         da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
-    columns = metric_columns(len(mmd_taps(model, da_cfg)))
-    history = train_da(model, data, da_cfg, cfg.solver)
+    try:
+        columns = metric_columns(len(mmd_taps(model, da_cfg)))
+        history = train_da(model, data, da_cfg, cfg.solver)
+    except ValueError as exc:  # a config the model or data cannot take
+        raise click.ClickException(str(exc)) from exc
     _write_metrics(out / "metrics.csv", columns, history)
     ckpt_mod.save(model, out / "checkpoint.zip", step=cfg.solver.max_steps,
                   seed=cfg.solver.seed, extra={"mode": cfg.mode, "stats": stats})
@@ -225,13 +240,16 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
 @click.option("--split", type=click.Choice(["source", "target"]), default="target")
 def cmd_eval(config_path, ckpt_path, split):
     """Top-1 accuracy of a checkpoint on the labeled source or target split."""
-    cfg = load_config(config_path) if config_path else RunConfig()
+    cfg = _load_config(config_path)
     data, _ = _load_data(cfg)
     model = _build_model(cfg)
     meta = ckpt_mod.load(model, ckpt_path)
     x, y = ((data.source_x, data.source_y) if split == "source"
             else (data.target_x, data.target_y))
-    acc = da_evaluate(model, x, y, batch_size=cfg.solver.batch_size)
+    try:
+        acc = da_evaluate(model, x, y, batch_size=cfg.solver.batch_size)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(f"{split} top-1 accuracy: {acc:.4f} (step {meta['step']})")
 
 
@@ -245,7 +263,7 @@ def cmd_eval(config_path, ckpt_path, split):
 def cmd_export_features(config_path, ckpt_path, images_path, layer, out_dir):
     """Dump activation maps at a named tap; conv_m taps yield one TDF per
     branch (c3 / dic2 / dec2)."""
-    cfg = load_config(config_path) if config_path else RunConfig()
+    cfg = _load_config(config_path)
     model = _build_model(cfg)
     try:
         (i,) = model.spec.layer_indices([layer], "--layer")

@@ -43,6 +43,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Build from a nested dict; an unknown key at the top level or in the
+        ``synth``/``da``/``solver`` sections is a ValueError naming it."""
+        _check_keys(d, cls)
+        for section, section_cls in (("synth", SynthParams), ("da", DAConfig),
+                                     ("solver", SolverConfig)):
+            _check_keys(d.get(section, {}), section_cls, section)
         d = dict(d)
         synth = d.pop("synth", {})
         if "shifts" in synth:
@@ -51,6 +57,19 @@ class RunConfig:
         solver = d.pop("solver", {})
         return cls(synth=SynthParams(**synth), da=DAConfig(**da),
                    solver=SolverConfig(**solver), **d)
+
+
+def _check_keys(d: dict, cls, section: str = "") -> None:
+    """A ValueError naming every key of ``d`` that is not a field of ``cls``."""
+    where = f"section {section!r}" if section else "file"
+    if not isinstance(d, dict):
+        raise ValueError(f"config {where} must be a mapping, got {d!r}")
+    prefix = f"{section}." if section else ""
+    valid = [f.name for f in dataclasses.fields(cls)]
+    unknown = [prefix + key for key in d if key not in valid]
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; valid keys in the "
+                         f"config {where} are {valid}")
 
 
 def load_config(path) -> RunConfig:

@@ -107,6 +107,9 @@ class ConvMConfig:
                     f"{name}={getattr(self, name)} not divisible by groups={self.groups}")
         if any(d < 1 for d in self.dilations):
             raise ValueError("dilation rates must be >= 1")
+        if self.k < 1 or self.k % 2 == 0:
+            # the "same" pad d*(k-1)//2 keeps the spatial size only for odd k
+            raise ValueError(f"ConvMConfig.k={self.k} must be a positive odd integer")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "dilations": list(self.dilations)}

@@ -50,14 +50,6 @@ class NetworkSpec:
 
     layers: list[LayerSpec]
 
-    def validate(self) -> None:
-        if not self.layers or self.layers[0].kind != "input":
-            raise ValueError("spec must start with an 'input' layer")
-        for i, e in enumerate(self.layers):
-            if e.kind not in LAYER_KINDS:
-                raise ValueError(f"layer {i}: unknown kind {e.kind!r}")
-        propagate_shapes(self)
-
     def to_dict(self) -> dict:
         return {"layers": [e.to_dict() for e in self.layers]}
 
@@ -94,16 +86,23 @@ def _ceil_pool(h, k, s):
 
 
 def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
-    """Per-layer output shapes (C, H, W); linear/avgpool report (C, 1, 1).
+    """The shape table: per-layer output shapes (C, H, W), where linear and
+    avgpool report (C, 1, 1). The builder, the audit and the decoders read
+    their channels and sizes from it.
 
-    Raises ValueError naming the offending layer index when a layer cannot
-    consume its input shape.
+    It also validates the spec: the first layer must be ``input``, every kind
+    must be in ``LAYER_KINDS``, and every layer must consume its input shape;
+    a ValueError names the layer at fault (``spec.layer_name``).
     """
+    if not spec.layers or spec.layers[0].kind != "input":
+        raise ValueError("spec must start with an 'input' layer")
     shapes = []
     c = h = w = None
     for i, e in enumerate(spec.layers):
         p = e.params
         try:
+            if e.kind not in LAYER_KINDS:
+                raise ValueError(f"unknown kind {e.kind!r}")
             if e.kind == "input":
                 c, h, w = p["channels"], p["height"], p["width"]
             elif e.kind == "conv":
@@ -112,6 +111,10 @@ def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
                 w = (w + 2 * pad - k) // s + 1
                 if h < 1 or w < 1:
                     raise ValueError("conv output collapsed to zero size")
+                g = p.get("groups", 1)
+                if c % g or p["out_channels"] % g:
+                    raise ValueError(f"conv channels ({c}->{p['out_channels']}) "
+                                     f"not divisible by groups={g}")
                 c = p["out_channels"]
             elif e.kind == "maxpool":
                 k, s = p["k"], p["stride"]
@@ -135,9 +138,9 @@ def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
                     raise ValueError("linear layer needs 1x1 spatial input")
                 c = p["out_features"]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"layer {i}: malformed params: {exc}") from exc
+            raise ValueError(f"{spec.layer_name(i)}: malformed params: {exc}") from exc
         except ValueError as exc:
-            raise ValueError(f"layer {i}: {exc}") from exc
+            raise ValueError(f"{spec.layer_name(i)}: {exc}") from exc
         shapes.append((c, h, w))
     return shapes
 
@@ -200,9 +203,7 @@ def tiny_spec(num_classes: int = 10, input_size: int = 32) -> NetworkSpec:
         LayerSpec("maxpool", {"k": 3, "stride": 2}),
         LayerSpec("conv_m", {"cfg": _cfg(40, (20, 32, 36, 20, 32, 36, 8, 16, 16))}),
     ]
-    spatial = s
-    for _ in range(3):
-        spatial = _ceil_pool(spatial, 3, 2)
+    _, spatial, _ = propagate_shapes(NetworkSpec(layers))[-1]
     layers.append(LayerSpec("avgpool", {"k": spatial, "stride": 1}))
     layers.append(LayerSpec("linear", {"out_features": num_classes}))
     return NetworkSpec(layers)
@@ -232,7 +233,6 @@ class ForwardState:
         self.input = x
         self.layer_outputs: dict[int, Tensor] = {}
         self.pool_indices: dict[int, np.ndarray] = {}
-        self.pool_source_hw: dict[int, tuple[int, int]] = {}
         self.branch_taps: dict[int, dict[str, Tensor]] = {}
         self.features: Tensor | None = None  # flattened avgpool output
         self.logits: Tensor | None = None
@@ -243,7 +243,6 @@ class Network:
     reconstruction decoders."""
 
     def __init__(self, spec: NetworkSpec, *, rng=None, dtype=np.float32):
-        spec.validate()
         rng = rng or np.random.default_rng(0)
         self.spec = spec
         self.dtype = dtype
@@ -252,13 +251,11 @@ class Network:
         self.head: list[Linear] | None = None
         self.num_classes: int | None = None
         self.decoders: list["Decoder"] | None = None
-        c = None
-        for i, e in enumerate(spec.layers):
+        for i, e in enumerate(spec.layers[1:], start=1):
             p = e.params
-            if e.kind == "input":
-                c = p["channels"]
-            elif e.kind == "conv":
-                self.modules[i] = Conv2d(c, p["out_channels"], p["k"],
+            c_in = self.shapes[i - 1][0]
+            if e.kind == "conv":
+                self.modules[i] = Conv2d(c_in, p["out_channels"], p["k"],
                                          stride=p.get("stride", 1),
                                          padding=p.get("padding", 0),
                                          groups=p.get("groups", 1),
@@ -266,9 +263,7 @@ class Network:
             elif e.kind == "conv_m":
                 self.modules[i] = ConvM(p["cfg"], rng=rng, dtype=dtype)
             elif e.kind == "linear":
-                feat = self.shapes[i - 1][0]
-                self.modules[i] = Linear(feat, p["out_features"], rng=rng, dtype=dtype)
-            c = self.shapes[i][0]
+                self.modules[i] = Linear(c_in, p["out_features"], rng=rng, dtype=dtype)
 
     # -- structure edits -----------------------------------------------------
 
@@ -313,6 +308,9 @@ class Network:
 
     def forward(self, x: Tensor, *, training=False, rng=None,
                 with_decoders=False) -> ForwardState:
+        if tuple(x.shape[1:]) != self.shapes[0]:
+            raise ValueError(f"input batch has per-image shape {list(x.shape[1:])}, "
+                             f"but the spec's input layer is {list(self.shapes[0])}")
         st = ForwardState(x)
         cur = x
         for i, e in enumerate(self.spec.layers):
@@ -322,7 +320,6 @@ class Network:
             elif e.kind == "conv":
                 cur = T.relu(self.modules[i](cur))
             elif e.kind == "maxpool":
-                st.pool_source_hw[i] = cur.shape[2:]
                 cur, idx = T.maxpool2d_with_indices(cur, p["k"], p["stride"])
                 st.pool_indices[i] = idx
             elif e.kind == "conv_m":
@@ -377,33 +374,29 @@ class Decoder:
     """Alternating unpool / 3x3 conv chain restoring the input resolution.
 
     Each unpool reuses the index map of one encoder pooling layer, walking the
-    pooling chain backwards from the tap, so per-stage conv widths are forced
-    to the channel count that pooling layer saw; the stage after the last
-    unpool halves the width (floor, minimum 16) before a 1x1 conv back to the
-    input channel count.
+    pooling chain backwards from the tap, and restores the size that pooling
+    layer consumed; per-stage conv widths are forced to the channel count it
+    consumed. Both come from the shape table ``shapes``. The stage after the
+    last unpool halves the width (floor, minimum 16) before a 1x1 conv back
+    to the input channel count.
     """
 
-    def __init__(self, name, tap_layer, pool_chain, tap_channels,
-                 pool_channels, input_channels, *, rng, dtype=np.float32):
+    def __init__(self, name, tap_layer, pool_chain, shapes, *, rng, dtype=np.float32):
         self.name = name
         self.tap_layer = tap_layer
         self.pool_chain = list(pool_chain)  # encoder pool indices, deepest first
-        self.convs: list[tuple[str, Conv2d]] = []
+        pooled = [shapes[i - 1] for i in self.pool_chain]  # (C, H, W) each pool consumed
+        self.unpool_hw = [(h, w) for _, h, w in pooled]
+        widths = [c for c, _, _ in pooled]
+        widths.append(max(widths[-1] // 2, 16))
         kw = dict(rng=rng, dtype=dtype)
-        cur = tap_channels
-        first_need = pool_channels[self.pool_chain[0]]
+        tap_channels = shapes[tap_layer][0]
         self.proj = None
-        if cur != first_need:
-            self.proj = Conv2d(cur, first_need, 1, **kw)
-            cur = first_need
-        for si, pool_i in enumerate(self.pool_chain):
-            if si + 1 < len(self.pool_chain):
-                nxt = pool_channels[self.pool_chain[si + 1]]
-            else:
-                nxt = max(cur // 2, 16)
-            self.convs.append((f"stage{si + 1}", Conv2d(cur, nxt, 3, padding=1, **kw)))
-            cur = nxt
-        self.final = Conv2d(cur, input_channels, 1, **kw)
+        if tap_channels != widths[0]:
+            self.proj = Conv2d(tap_channels, widths[0], 1, **kw)
+        self.convs = [(f"stage{si + 1}", Conv2d(cin, cout, 3, padding=1, **kw))
+                      for si, (cin, cout) in enumerate(zip(widths, widths[1:]))]
+        self.final = Conv2d(widths[-1], shapes[0][0], 1, **kw)
 
     def parameters(self):
         out = []
@@ -418,11 +411,11 @@ class Decoder:
         cur = st.layer_outputs[self.tap_layer]
         if self.proj is not None:
             cur = T.relu(self.proj(cur))
-        for (_, conv), pool_i in zip(self.convs, self.pool_chain):
+        for (_, conv), pool_i, hw in zip(self.convs, self.pool_chain, self.unpool_hw):
             if pool_i not in st.pool_indices:
                 raise ValueError(f"{self.name}: pooling layer {pool_i} has no "
                                  "recorded indices (run the encoder first)")
-            cur = T.unpool2d(cur, st.pool_indices[pool_i], st.pool_source_hw[pool_i])
+            cur = T.unpool2d(cur, st.pool_indices[pool_i], hw)
             cur = T.relu(conv(cur))
         return self.final(cur)
 
@@ -435,18 +428,13 @@ def attach_decoders(net: Network, *, rng=None) -> Network:
     pools = net.spec.maxpool_indices()
     if len(pools) < 2:
         raise ValueError("need at least two pooling stages for two decoders")
-    convms = net.spec.conv_m_indices()
-    input_channels = net.spec.layers[0].params["channels"]
-    pool_channels = {i: net.shapes[i][0] for i in pools}
-
-    d1_tap = convms[-1]
+    d1_tap = net.spec.conv_m_indices()[-1]
     d2_tap = pools[-1] - 1  # output feeding the last pooling layer
     d1, d2 = DECODER_NAMES
     net.decoders = [
-        Decoder(d1, d1_tap, list(reversed(pools)), net.shapes[d1_tap][0],
-                pool_channels, input_channels, rng=rng, dtype=net.dtype),
-        Decoder(d2, d2_tap, list(reversed(pools[:-1])), net.shapes[d2_tap][0],
-                pool_channels, input_channels, rng=rng, dtype=net.dtype),
+        Decoder(d1, d1_tap, list(reversed(pools)), net.shapes, rng=rng, dtype=net.dtype),
+        Decoder(d2, d2_tap, list(reversed(pools[:-1])), net.shapes, rng=rng,
+                dtype=net.dtype),
     ]
     return net
 

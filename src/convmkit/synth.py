@@ -105,12 +105,8 @@ def write_dataset(params: SynthParams, out_dir) -> Path:
         w = csv.writer(f)
         w.writerow(["path", "label", "domain"])
         w.writerows(rows)
-    pooled = np.concatenate([src_x, tgt_x])
-    stats = {
-        "mean": pooled.mean(axis=(0, 2, 3)).tolist(),
-        "std": pooled.std(axis=(0, 2, 3)).tolist(),
-        "params": {**params.__dict__, "shifts": list(params.shifts)},
-    }
+    stats = {**pooled_stats(src_x, tgt_x),
+             "params": {**params.__dict__, "shifts": list(params.shifts)}}
     with open(out / "stats.json", "w") as f:
         json.dump(stats, f, indent=1)
     return out
@@ -130,6 +126,14 @@ def load_dataset(root):
         y = np.array([int(r["label"]) for r in sel], dtype=np.int64)
         out[domain] = (x, y)
     return out["source"], out["target"], stats
+
+
+def pooled_stats(source_x: np.ndarray, target_x: np.ndarray) -> dict:
+    """Per-channel normalization stats (mean, std) over both domains' images
+    together."""
+    pooled = np.concatenate([source_x, target_x])
+    return {"mean": pooled.mean(axis=(0, 2, 3)).tolist(),
+            "std": pooled.std(axis=(0, 2, 3)).tolist()}
 
 
 def normalize(x: np.ndarray, stats: dict) -> np.ndarray:

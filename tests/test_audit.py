@@ -4,7 +4,8 @@ import pytest
 from convmkit import audit as A
 from convmkit import tensor as T
 from convmkit.layers import ConvMConfig
-from convmkit.network import (NetworkSpec, build_network, reference_spec,
+from convmkit.network import (LayerSpec, NetworkSpec, build_network,
+                              propagate_shapes, reference_spec,
                               regular_conv_spec, tiny_spec)
 
 LAYER4 = ConvMConfig(n_in=64, c1=64, c2=64, c3=64, c4=64, dic1=64, dic2=64,
@@ -60,6 +61,31 @@ class TestCountNetwork:
         base = reference_spec()
         ablated = regular_conv_spec(base)
         assert A.count_network(ablated).total == A.count_network(base).total
+
+    def test_shape_error_names_the_layer(self):
+        spec = reference_spec()
+        spec.layers[3].params["cfg"].n_in = 32  # first module, layer4
+        for fn in (propagate_shapes, A.count_network, build_network):
+            with pytest.raises(ValueError, match="^layer4: conv_m expects 32 input channels"):
+                fn(spec)
+
+    def test_grouped_stem_with_indivisible_channels_rejected(self):
+        spec = tiny_spec()
+        spec.layers[1].params["groups"] = 3  # 3 -> 8 channels
+        for fn in (A.count_network, build_network):
+            with pytest.raises(ValueError, match=r"^layer2: conv channels \(3->8\) "
+                                                 "not divisible by groups=3"):
+                fn(spec)
+
+    @pytest.mark.parametrize("layers,match", [
+        ([], "must start with an 'input' layer"),
+        ([LayerSpec("conv", {"out_channels": 4, "k": 1})], "must start with an 'input' layer"),
+        ([LayerSpec("input", {"channels": 3, "height": 4, "width": 4}),
+          LayerSpec("dense", {})], "^layer2: unknown kind 'dense'"),
+    ])
+    def test_invalid_spec_rejected(self, layers, match):
+        with pytest.raises(ValueError, match=match):
+            A.count_network(NetworkSpec(layers))
 
 
 class TestSolveGroups:
@@ -123,6 +149,15 @@ class TestFormulaVsAllocation:
         spec = spec_fn()
         net = build_network(spec, rng=np.random.default_rng(0))
         assert net.param_census() == A.count_network(spec).total
+
+    def test_census_matches_with_linear_after_conv(self):
+        spec = NetworkSpec([
+            LayerSpec("input", {"channels": 3, "height": 1, "width": 1}),
+            LayerSpec("conv", {"out_channels": 4, "k": 1}),
+            LayerSpec("linear", {"out_features": 2}),
+        ])
+        net = build_network(spec, rng=np.random.default_rng(0))
+        assert net.param_census() == A.count_network(spec).total == 3 * 4 + 4 * 2
 
     def test_census_matches_with_grouped_stem(self):
         spec = tiny_spec()

@@ -9,9 +9,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from convmkit import checkpoint, tdf
+from convmkit import checkpoint, synth, tdf
 from convmkit.checkpoint import read_meta
-from convmkit.cli import main
+from convmkit.cli import _load_data, main
+from convmkit.config import RunConfig
+from convmkit.synth import SynthParams
 from convmkit.audit import count_network
 from convmkit.network import Network, reference_spec, tiny_spec
 
@@ -80,6 +82,16 @@ class TestAudit:
         assert res.exit_code == 0, res.output
         total = count_network(tiny_spec()).total
         assert res.output.strip().endswith(f"audit OK, total {total:,}")
+
+    def test_shape_invalid_spec_is_a_clean_error(self, runner, tmp_path):
+        spec = reference_spec()
+        spec.layers[3].params["cfg"].n_in = 32
+        sp = tmp_path / "spec.yaml"
+        sp.write_text(yaml.safe_dump(spec.to_dict()))
+        res = runner.invoke(main, ["audit", "--spec", str(sp)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Error: layer4: conv_m expects 32 input channels, got 64" in res.output
 
     def test_unknown_spec_is_a_usage_error(self, runner):
         res = runner.invoke(main, ["audit", "--spec", "bogus"])
@@ -195,6 +207,38 @@ class TestTrainEvalExport:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "Error: parameter census mismatch" in res.output
+
+    def test_unknown_config_key_is_a_usage_error(self, runner, tmp_path):
+        cfg = small_config(tmp_path, da={"mmd_wieght": 0.3})
+        res = runner.invoke(main, ["train", "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "unknown config key(s) ['da.mmd_wieght']" in res.output
+        assert "'mmd_weight'" in res.output  # lists the valid keys
+
+    def test_config_section_must_be_a_mapping(self, runner, tmp_path):
+        cfg = small_config(tmp_path, solver=None)
+        res = runner.invoke(main, ["train", "--config", str(cfg)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "config section 'solver' must be a mapping" in res.output
+
+    def test_image_size_mismatch_is_a_clean_error(self, runner, tmp_path):
+        cfg = small_config(tmp_path, synth={"size": 64})
+        res = runner.invoke(main, ["train", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "[3, 64, 64]" in res.output and "[3, 32, 32]" in res.output
+
+    def test_synthetic_and_written_data_share_stats(self, runner, tmp_path):
+        cfg = RunConfig(synth=SynthParams(num_classes=3, per_class=4, size=16, seed=2))
+        generated, gen_stats = _load_data(cfg)
+        synth.write_dataset(cfg.synth, tmp_path / "ds")
+        written, disk_stats = _load_data(RunConfig(data_dir=str(tmp_path / "ds")))
+        assert gen_stats["mean"] == disk_stats["mean"]
+        assert gen_stats["std"] == disk_stats["std"]
+        assert generated.source_x.tobytes() == written.source_x.tobytes()
+        assert generated.target_x.tobytes() == written.target_x.tobytes()
 
     def test_eval_prints_accuracy(self, runner, tmp_path):
         cfg = small_config(tmp_path)

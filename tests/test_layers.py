@@ -75,6 +75,14 @@ def test_invalid_group_plan_rejected():
                     c5=4, dec1=4, dec2=4).validate()
 
 
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_even_kernel_rejected(k):
+    cfg = ConvMConfig(n_in=4, c1=4, c2=4, c3=4, c4=4, dic1=4, dic2=4,
+                      c5=4, dec1=4, dec2=4, k=k)
+    with pytest.raises(ValueError, match=f"k={k} must be a positive odd"):
+        cfg.validate()
+
+
 def test_dropout_active_in_training_mode():
     rng = np.random.default_rng(2)
     cfg = ConvMConfig(n_in=4, c1=4, c2=4, c3=4, c4=4, dic1=4, dic2=4,
