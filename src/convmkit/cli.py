@@ -181,6 +181,14 @@ def _build_model(cfg: RunConfig):
     return attach_da_heads(net, cfg.num_classes, rng=rng)
 
 
+def _load_checkpoint(model, path) -> dict:
+    """``checkpoint.load`` with a mismatch shown as a click error."""
+    try:
+        return ckpt_mod.load(model, path)
+    except ckpt_mod.CheckpointError as exc:
+        raise click.ClickException(str(exc)) from exc
+
+
 def _write_metrics(path, columns, history):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -213,10 +221,7 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
     # test-time predictor, so a source-only one can seed DA fine-tuning
     model = _build_model(cfg)
     if resume_path:
-        try:
-            ckpt_mod.load(model, resume_path)
-        except ckpt_mod.CheckpointError as exc:
-            raise click.ClickException(str(exc)) from exc
+        _load_checkpoint(model, resume_path)
 
     if cfg.mode == "da":
         attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))
@@ -243,7 +248,7 @@ def cmd_eval(config_path, ckpt_path, split):
     cfg = _load_config(config_path)
     data, _ = _load_data(cfg)
     model = _build_model(cfg)
-    meta = ckpt_mod.load(model, ckpt_path)
+    meta = _load_checkpoint(model, ckpt_path)
     x, y = ((data.source_x, data.source_y) if split == "source"
             else (data.target_x, data.target_y))
     try:
@@ -269,7 +274,7 @@ def cmd_export_features(config_path, ckpt_path, images_path, layer, out_dir):
         (i,) = model.spec.layer_indices([layer], "--layer")
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    meta = ckpt_mod.load(model, ckpt_path)
+    meta = _load_checkpoint(model, ckpt_path)
     p = Path(images_path)
     files = sorted(p.glob("*.tdf")) if p.is_dir() else [p]
     x = np.stack([tdf.read(f) for f in files])

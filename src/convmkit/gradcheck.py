@@ -143,6 +143,10 @@ def default_suite(rng: np.random.Generator | None = None):
     cases.append(("unpool", pool_unpool, [_spread(rng, 1, 2, 6, 6)]))
     # 3x3 windows at stride 2 overlap, so neighbouring cells can share an argmax
     cases.append(("unpool_overlapping", lambda x: pool_unpool(x, 3), [_spread(rng, 1, 2, 7, 7)]))
+    # 8x8 at k=3, stride 2: the last ceil-mode window is clipped to 2 rows/columns
+    cases.append(("maxpool_ceil", lambda x: T.maxpool2d_with_indices(x, 3, 2)[0],
+                  [_spread(rng, 1, 2, 8, 8)]))
+    cases.append(("unpool_ceil", lambda x: pool_unpool(x, 3), [_spread(rng, 1, 2, 8, 8)]))
 
     labels = rng.integers(0, 5, size=4)
     cases.append(("softmax_ce", lambda z: T.softmax_cross_entropy(z, labels),

@@ -81,10 +81,6 @@ class NetworkSpec:
         return [index[n] for n in names]
 
 
-def _ceil_pool(h, k, s):
-    return -(-(h - k) // s) + 1
-
-
 def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
     """The shape table: per-layer output shapes (C, H, W), where linear and
     avgpool report (C, 1, 1). The builder, the audit and the decoders read
@@ -120,7 +116,7 @@ def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
                 k, s = p["k"], p["stride"]
                 if k > h or k > w:
                     raise ValueError(f"pool window {k} exceeds input {h}x{w}")
-                h, w = _ceil_pool(h, k, s), _ceil_pool(w, k, s)
+                h, w = T._ceil_pool_size(h, k, s), T._ceil_pool_size(w, k, s)
             elif e.kind == "conv_m":
                 cfg: ConvMConfig = p["cfg"]
                 cfg.validate()
@@ -227,7 +223,8 @@ def regular_conv_spec(spec: NetworkSpec) -> NetworkSpec:
 
 class ForwardState:
     """Everything a single forward pass produced beyond its output: per-layer
-    outputs, pooling index maps, and the three branch outputs of each module."""
+    outputs, pooling index maps (built only for a pass with decoders), and the
+    three branch outputs of each module."""
 
     def __init__(self, x: Tensor):
         self.input = x
@@ -320,8 +317,11 @@ class Network:
             elif e.kind == "conv":
                 cur = T.relu(self.modules[i](cur))
             elif e.kind == "maxpool":
-                cur, idx = T.maxpool2d_with_indices(cur, p["k"], p["stride"])
-                st.pool_indices[i] = idx
+                # only the decoders read the index maps
+                cur, idx = T.maxpool2d_with_indices(cur, p["k"], p["stride"],
+                                                    indices=with_decoders)
+                if idx is not None:
+                    st.pool_indices[i] = idx
             elif e.kind == "conv_m":
                 cur, taps = self.modules[i].forward_with_taps(cur, training=training, rng=rng)
                 st.branch_taps[i] = taps
@@ -330,6 +330,8 @@ class Network:
                 st.features = T.flatten2d(cur)
                 cur = st.features
             elif e.kind == "linear":
+                if cur.data.ndim > 2:  # a 1x1 map that no avgpool flattened
+                    cur = T.flatten2d(cur)
                 cur = self.modules[i](cur)
                 st.logits = cur
             st.layer_outputs[i] = cur

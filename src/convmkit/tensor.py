@@ -450,51 +450,100 @@ def conv2d_transpose_cropped(x: Tensor, w: Tensor, stride=1, groups=1) -> Tensor
 # ---------------------------------------------------------------------------
 
 
-def _pool_windows(x, k, stride, oh, ow, fill):
-    """View/copy of all kxk windows as [N, C, oh, ow, k, k], right/bottom
-    padded with ``fill`` so the ceil-mode windows are uniform."""
-    n, c, h, w = x.shape
-    need_h = (oh - 1) * stride + k
-    need_w = (ow - 1) * stride + k
-    if need_h > h or need_w > w:
-        xp = np.full((n, c, need_h, need_w), fill, dtype=x.dtype)
-        xp[:, :, :h, :w] = x
-    else:
-        xp = x
-    s = xp.strides
-    shape = (n, c, oh, ow, k, k)
+def _pool_windows(x, k, stride, oh, ow):
+    """View of the full kxk windows of a floor-mode pool as [N, C, oh, ow, k, k]."""
+    s = x.strides
+    shape = x.shape[:2] + (oh, ow, k, k)
     strides = (s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3])
-    return np.lib.stride_tricks.as_strided(xp, shape, strides)
+    return np.lib.stride_tricks.as_strided(x, shape, strides)
 
 
-def maxpool2d_with_indices(x: Tensor, k: int, stride: int):
+def _ceil_pool_size(h: int, k: int, stride: int) -> int:
+    """Ceil-mode pooled size of an axis of length h. Every window must start
+    inside the input: one that would start past it (stride > k) has nothing
+    to pool, and a ValueError says so."""
+    o = -(-(h - k) // stride) + 1
+    if (o - 1) * stride >= h:
+        raise ValueError(f"pool stride {stride} > window {k} puts the last "
+                         f"window outside the input size {h}")
+    return o
+
+
+def _pool_offsets(h, w, k, stride, oh, ow):
+    """The k*k window offsets (i, j) in row-major order. Per offset: its flat
+    source offset i*W + j from the window's corner, the block of pooled cells
+    whose window reaches it (ceil-mode windows are clipped at the right and
+    bottom edges), and the strided slice of the input those cells read."""
+    offsets = []
+    for i in range(k):
+        rows = min(oh, (h - 1 - i) // stride + 1)
+        for j in range(k):
+            cols = min(ow, (w - 1 - j) // stride + 1)
+            offsets.append((i * w + j, (..., slice(rows), slice(cols)),
+                            (..., slice(i, i + (rows - 1) * stride + 1, stride),
+                             slice(j, j + (cols - 1) * stride + 1, stride))))
+    return offsets
+
+
+def _argmax_indices(x, out, offsets, stride):
+    """Flat source index h*W + w of each cell's first maximum in row-major
+    window order, as ``argmax`` over the window picks it (a NaN counts as the
+    maximum).
+
+    The offsets run in reverse and each hit overwrites the cell's offset
+    number t, so the first hit is written last. The overwrite is arithmetic,
+    code += hit * (t - code) in unsigned wrap-around, which numpy runs
+    unmasked and so faster than ``np.copyto(..., where=hit)``.
+    """
+    code = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
+    has_nan = bool(np.isnan(out).any())
+    for t in range(len(offsets) - 1, -1, -1):
+        _, cells, src = offsets[t]
+        hit = x[src] == out[cells]
+        if has_nan:
+            hit |= np.isnan(x[src])
+        block = code[cells]
+        step = np.subtract(t, block, dtype=code.dtype)
+        step *= hit
+        block += step
+    idx = np.take(np.array([off for off, _, _ in offsets], dtype=np.int64), code)
+    oh, ow, w = out.shape[2], out.shape[3], x.shape[3]
+    idx += (np.arange(oh) * (stride * w))[:, None] + np.arange(ow) * stride  # window corners
+    return idx
+
+
+def maxpool2d_with_indices(x: Tensor, k: int, stride: int, indices: bool = True):
     """Ceil-mode max pooling. Returns (pooled, indices) where indices holds,
     per pooled cell, the flat row-major source coordinate h*W + w of the max
     (first occurrence on ties, windows clipped at the right/bottom edge).
+
+    The max is a running ``np.maximum`` over the k*k strided views of the
+    input, with no window copy. With ``indices=False`` the second element is
+    None, and the argmax is built only if the tape runs a backward.
     """
     n, c, h, w = x.shape
     if k > h or k > w:
         raise ValueError(f"maxpool2d: window {k} exceeds input {h}x{w}")
-    oh = -(-(h - k) // stride) + 1
-    ow = -(-(w - k) // stride) + 1
-    win = _pool_windows(x.data, k, stride, oh, ow, -np.inf)
-    flat = win.reshape(n, c, oh, ow, k * k)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    ki, kj = np.divmod(arg, k)
-    base_h = (np.arange(oh) * stride)[None, None, :, None]
-    base_w = (np.arange(ow) * stride)[None, None, None, :]
-    idx = ((base_h + ki) * w + (base_w + kj)).astype(np.int64)
+    oh, ow = _ceil_pool_size(h, k, stride), _ceil_pool_size(w, k, stride)
+    offsets = _pool_offsets(h, w, k, stride, oh, ow)
+    out = x.data[offsets[0][2]].copy()  # offset (0, 0) reaches every cell
+    for _, cells, src in offsets[1:]:
+        block = out[cells]
+        # np.maximum keeps its second operand on a tie (+0.0 vs -0.0): the
+        # earlier offset's value, as argmax would pick it
+        np.maximum(x.data[src], block, out=block)
+    idx = _argmax_indices(x.data, out, offsets, stride) if indices else None
 
     def bwd(g):
         if x.requires_grad:
+            first = idx if idx is not None else _argmax_indices(x.data, out, offsets, stride)
             gx = np.zeros((n, c, h * w), dtype=g.dtype)
             rows = np.arange(n * c)[:, None]
-            np.add.at(gx.reshape(n * c, h * w), (rows, idx.reshape(n * c, -1)),
+            np.add.at(gx.reshape(n * c, h * w), (rows, first.reshape(n * c, -1)),
                       g.reshape(n * c, -1))
             x._accumulate(gx.reshape(n, c, h, w))
 
-    return _make(np.ascontiguousarray(out), (x,), bwd), idx
+    return _make(out, (x,), bwd), idx
 
 
 def unpool2d(x: Tensor, indices: np.ndarray, target_hw) -> Tensor:
@@ -534,7 +583,7 @@ def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:
         raise ValueError(f"avgpool2d: window {k} exceeds input {h}x{w}")
     oh = (h - k) // stride + 1
     ow = (w - k) // stride + 1
-    win = _pool_windows(x.data, k, stride, oh, ow, 0.0)
+    win = _pool_windows(x.data, k, stride, oh, ow)
     out = win.mean(axis=(-2, -1))
 
     def bwd(g):

@@ -150,14 +150,28 @@ class TestFormulaVsAllocation:
         net = build_network(spec, rng=np.random.default_rng(0))
         assert net.param_census() == A.count_network(spec).total
 
-    def test_census_matches_with_linear_after_conv(self):
-        spec = NetworkSpec([
+    @staticmethod
+    def linear_after_conv():
+        return NetworkSpec([
             LayerSpec("input", {"channels": 3, "height": 1, "width": 1}),
             LayerSpec("conv", {"out_channels": 4, "k": 1}),
             LayerSpec("linear", {"out_features": 2}),
         ])
+
+    def test_census_matches_with_linear_after_conv(self):
+        spec = self.linear_after_conv()
         net = build_network(spec, rng=np.random.default_rng(0))
         assert net.param_census() == A.count_network(spec).total == 3 * 4 + 4 * 2
+
+    def test_linear_after_conv_runs_forward(self):
+        net = build_network(self.linear_after_conv(), rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 3, 1, 1)).astype(np.float32)
+        logits = net.forward(T.Tensor(x)).logits
+        params = net.parameters()
+        hidden = np.maximum(x[:, :, 0, 0] @ params["layer2.weight"].data[:, :, 0, 0].T, 0)
+        assert logits.shape == (2, 2)
+        np.testing.assert_allclose(logits.data, hidden @ params["layer3.weight"].data,
+                                   rtol=1e-5)
 
     def test_census_matches_with_grouped_stem(self):
         spec = tiny_spec()

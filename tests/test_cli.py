@@ -208,6 +208,23 @@ class TestTrainEvalExport:
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "Error: parameter census mismatch" in res.output
 
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_checkpoint_mismatch_is_a_clean_error(self, runner, tmp_path, command):
+        cfg = small_config(tmp_path)
+        runner.invoke(main, ["train", "--config", str(cfg)], catch_exceptions=False)
+        ck = tmp_path / "run" / "checkpoint.zip"
+        cfg5 = small_config(tmp_path, num_classes=5)  # the head's fc2 grows by 256
+        img = tmp_path / "probe.tdf"
+        tdf.write(img, np.zeros((3, 32, 32), np.float32))
+        args = {"eval": ["eval", "--config", str(cfg5), "--checkpoint", str(ck)],
+                "export-features": ["export-features", "--config", str(cfg5),
+                                    "--checkpoint", str(ck), "--images", str(img),
+                                    "--layer", "layer4", "--out", str(tmp_path / "feats")]}
+        res = runner.invoke(main, args[command])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Error: parameter census mismatch: checkpoint 39776, model 40032" in res.output
+
     def test_unknown_config_key_is_a_usage_error(self, runner, tmp_path):
         cfg = small_config(tmp_path, da={"mmd_wieght": 0.3})
         res = runner.invoke(main, ["train", "--config", str(cfg)])
