@@ -148,7 +148,10 @@ def cmd_make_synth(classes, per_class, size, shift, seed, out_dir):
 def cmd_import_images(root_dir, domains, out_dir):
     """Convert a directory of PNG/raw images into the TDF dataset layout."""
     doms = tuple(d.strip() for d in domains.split(","))
-    out = ingest_mod.import_images(root_dir, out_dir, domains=doms)
+    try:
+        out = ingest_mod.import_images(root_dir, out_dir, domains=doms)
+    except ingest_mod.ImageError as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(f"dataset written under {out}")
 
 

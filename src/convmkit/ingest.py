@@ -83,11 +83,20 @@ def read_png(path) -> np.ndarray:
     """Decode a PNG into float32 [3, H, W] in [0, 1].
 
     Supports bit depth 8, color types grayscale/RGB/RGBA, no interlacing;
-    grayscale is replicated across channels, alpha is dropped.
+    grayscale is replicated across channels, alpha is dropped. Every
+    decoding error is an ``ImageError`` that names the file.
     """
-    blob = Path(path).read_bytes()
+    try:
+        return _decode_png(Path(path).read_bytes())
+    except ImageError as exc:
+        raise ImageError(f"{path}: {exc}") from None
+    except zlib.error as exc:
+        raise ImageError(f"{path}: corrupt image data ({exc})") from None
+
+
+def _decode_png(blob: bytes) -> np.ndarray:
     if blob[:8] != PNG_SIGNATURE:
-        raise ImageError(f"{path}: not a PNG file")
+        raise ImageError("not a PNG file")
     header = None
     idat = b""
     for ctype, data in _iter_chunks(blob):
@@ -98,12 +107,14 @@ def read_png(path) -> np.ndarray:
         elif ctype == b"IEND":
             break
     if header is None:
-        raise ImageError(f"{path}: missing IHDR")
+        raise ImageError("missing IHDR")
     w, h, depth, color, comp, filt, interlace = header
     if depth != 8 or color not in _CHANNELS:
-        raise ImageError(f"{path}: only 8-bit gray/RGB/RGBA PNGs are supported")
+        raise ImageError("only 8-bit gray/RGB/RGBA PNGs are supported")
     if interlace:
-        raise ImageError(f"{path}: interlaced PNGs are not supported")
+        raise ImageError("interlaced PNGs are not supported")
+    if not idat:
+        raise ImageError("no IDAT chunk")
     ch = _CHANNELS[color]
     px = _unfilter(zlib.decompress(idat), h, w, ch)
     if ch == 1:
@@ -132,10 +143,19 @@ def import_images(root, out_dir, *, domains=("source", "target")) -> Path:
     layout (TDF images, manifest.csv, stats.json). Class names are sorted
     and mapped to consecutive integer labels shared across domains."""
     root, out = Path(root), Path(out_dir)
-    class_names = sorted({d.name for dom in domains
-                          for d in (root / dom).iterdir() if d.is_dir()})
+    missing = [dom for dom in domains if not (root / dom).is_dir()]
+    if missing:
+        raise ImageError(f"no domain directory {', '.join(map(repr, missing))} "
+                         f"under {root}")
+    class_dirs = {dom: sorted(d for d in (root / dom).iterdir() if d.is_dir())
+                  for dom in domains}
+    class_names = sorted({d.name for dirs in class_dirs.values() for d in dirs})
     if not class_names:
         raise ImageError(f"no class directories under {root}")
+    images = {dom: [(cdir.name, p) for cdir in dirs for p in sorted(cdir.iterdir())]
+              for dom, dirs in class_dirs.items()}
+    if not any(images.values()):
+        raise ImageError(f"no images in the class directories under {root}")
     label_of = {n: i for i, n in enumerate(class_names)}
     rows = []
     pooled_sum = np.zeros(3)
@@ -143,19 +163,14 @@ def import_images(root, out_dir, *, domains=("source", "target")) -> Path:
     count = 0
     for dom in domains:
         (out / dom).mkdir(parents=True, exist_ok=True)
-        i = 0
-        for cdir in sorted((root / dom).iterdir()):
-            if not cdir.is_dir():
-                continue
-            for img_path in sorted(cdir.iterdir()):
-                x = read_image(img_path)
-                rel = f"{dom}/img_{i:05d}.tdf"
-                tdf.write(out / rel, x)
-                rows.append((rel, label_of[cdir.name], dom))
-                pooled_sum += x.sum(axis=(1, 2))
-                pooled_sq += (x * x).sum(axis=(1, 2))
-                count += x.shape[1] * x.shape[2]
-                i += 1
+        for i, (cname, img_path) in enumerate(images[dom]):
+            x = read_image(img_path)
+            rel = f"{dom}/img_{i:05d}.tdf"
+            tdf.write(out / rel, x)
+            rows.append((rel, label_of[cname], dom))
+            pooled_sum += x.sum(axis=(1, 2))
+            pooled_sq += (x * x).sum(axis=(1, 2))
+            count += x.shape[1] * x.shape[2]
     with open(out / "manifest.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["path", "label", "domain"])

@@ -22,16 +22,35 @@ def gaussian_kernel(x, y, sigma: float) -> float:
     return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
 
 
+# Budget of the row blocks that pairwise_sq_dists and the mmd_loss backward
+# stream through: about half of a core's 2 MiB L2, and never less than one row.
+_SCRATCH_BYTES = 1 << 20
+
+
+def _block_rows(x: np.ndarray) -> int:
+    """Rows of ``x`` per block: as many as fit ``_SCRATCH_BYTES``, at least one."""
+    return max(1, _SCRATCH_BYTES // max(1, x.shape[1] * x.itemsize))
+
+
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x``, [N, N].
 
     One contiguous row reduction of (x_j - x_i)**2 per unordered pair, then
     mirrored: an entry depends only on its pair, so the matrix is bitwise
-    symmetric with an exact zero diagonal, and the scratch stays O(N*D)."""
-    n = x.shape[0]
+    symmetric with an exact zero diagonal. The rows j > i go through one
+    scratch buffer of about ``_SCRATCH_BYTES`` (at least one row) in blocks,
+    so the scratch is bounded, not O(N*D)."""
+    n, dim = x.shape
     d = np.zeros((n, n))
+    rows = max(1, min(n - 1, _block_rows(x)))
+    scratch = np.empty((rows, dim), dtype=x.dtype)
     for i in range(n - 1):
-        d[i, i + 1:] = np.sum((x[i + 1:] - x[i]) ** 2, axis=1)
+        for j0 in range(i + 1, n, rows):
+            j1 = min(j0 + rows, n)
+            b = scratch[:j1 - j0]
+            np.subtract(x[j0:j1], x[i], out=b)
+            np.multiply(b, b, out=b)
+            d[i, j0:j1] = b.sum(axis=1)
     return d + d.T
 
 
@@ -63,7 +82,7 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
     ns, nt = fs.shape[0], ft.shape[0]
     if ns < 1 or nt < 1:
         raise ValueError("both sample sets must be non-empty")
-    x = np.concatenate([fs.data.astype(np.float64), ft.data.astype(np.float64)])
+    x = np.concatenate([fs.data, ft.data], dtype=np.float64)
     k = np.exp(-pairwise_sq_dists(x) * (1.0 / (2.0 * sigma * sigma)))
     # fsum is order-independent, making the estimator exactly symmetric
     # under a set swap and exactly zero on identical sets
@@ -76,11 +95,22 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
         # MMD^2 = w^T K w with w = +1/Ns on source rows, -1/Nt on target rows;
         # d/dx_a = (2/sigma^2) w_a sum_j w_j K[a,j] (x_j - x_a)
         w = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
-        grad = (2.0 * g / (sigma * sigma)) * w[:, None] * ((k * w) @ x - (k @ w)[:, None] * x)
+        # in place on the GEMM result, one row block at a time: the same
+        # elementwise ops on the same operands as the one-shot
+        # cw[:, None] * ((k * w) @ x - (k @ w)[:, None] * x), so the same
+        # bits, without its [N, D] temporaries
+        grad = (k * w) @ x
+        kw = k @ w
+        cw = (2.0 * g / (sigma * sigma)) * w
+        rows = _block_rows(x)
+        for a in range(0, ns + nt, rows):
+            blk = grad[a:a + rows]
+            blk -= kw[a:a + rows, None] * x[a:a + rows]
+            blk *= cw[a:a + rows, None]
         if fs.requires_grad:
-            fs._accumulate(grad[:ns].astype(fs.dtype))
+            fs._accumulate(grad[:ns].astype(fs.dtype, copy=False))
         if ft.requires_grad:
-            ft._accumulate(grad[ns:].astype(ft.dtype))
+            ft._accumulate(grad[ns:].astype(ft.dtype, copy=False))
 
     return _make(np.asarray(value, dtype=fs.dtype).reshape(()), (fs, ft), bwd)
 

@@ -334,3 +334,13 @@ class TestImportImages:
         assert res.exit_code == 0, res.output
         with open(tmp_path / "ds" / "manifest.csv", newline="") as f:
             assert len(list(csv.DictReader(f))) == 4
+
+    def test_image_error_is_a_click_error(self, runner, tmp_path):
+        (tmp_path / "raw" / "source" / "a").mkdir(parents=True)
+        res = runner.invoke(main, ["import-images",
+                                   "--root", str(tmp_path / "raw"),
+                                   "--domains", "source,val",
+                                   "--out", str(tmp_path / "ds")])
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit)
+        assert "Error: no domain directory 'val'" in res.output

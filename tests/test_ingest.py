@@ -83,6 +83,22 @@ class TestPNG:
         with pytest.raises(ImageError, match="8-bit"):
             read_png(p)
 
+    def test_missing_idat_names_the_file(self, tmp_path):
+        ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+        p = tmp_path / "img.png"
+        p.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b""))
+        with pytest.raises(ImageError, match="img.png: no IDAT"):
+            read_png(p)
+
+    def test_truncated_zlib_stream_names_the_file(self, tmp_path):
+        raw = b"".join(b"\x00" + bytes(6) for _ in range(2))
+        ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+        p = tmp_path / "img.png"
+        p.write_bytes(b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr)
+                      + _chunk(b"IDAT", zlib.compress(raw)[:-6]) + _chunk(b"IEND", b""))
+        with pytest.raises(ImageError, match="img.png: corrupt image data"):
+            read_png(p)
+
     def test_raw_dispatch(self, tmp_path):
         arr = RNG.random((3, 4, 4)).astype(np.float32)
         p = tmp_path / "img.raw"
@@ -128,3 +144,16 @@ class TestImportImages:
         (tmp_path / "raw" / "target").mkdir(parents=True)
         with pytest.raises(ImageError, match="no class"):
             import_images(tmp_path / "raw", tmp_path / "ds")
+
+    def test_class_directories_without_images_rejected(self, tmp_path):
+        for dom in ("source", "target"):
+            (tmp_path / "raw" / dom / "cat").mkdir(parents=True)
+        with pytest.raises(ImageError, match="no images"):
+            import_images(tmp_path / "raw", tmp_path / "ds")
+        assert not (tmp_path / "ds" / "stats.json").exists()
+
+    def test_missing_domain_directory_rejected(self, tmp_path):
+        src = tmp_path / "raw"
+        self.make_tree(src)
+        with pytest.raises(ImageError, match="no domain directory 'val'"):
+            import_images(src, tmp_path / "ds", domains=("source", "val"))

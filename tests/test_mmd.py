@@ -4,9 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convmkit.mmd import (gaussian_kernel, median_bandwidth, mmd_brute_force,
-                          mmd_loss, pairwise_sq_dists)
+from convmkit.mmd import (_SCRATCH_BYTES, gaussian_kernel, median_bandwidth,
+                          mmd_brute_force, mmd_loss, pairwise_sq_dists)
 from convmkit.tensor import Tensor
+
+# float64 widths at which pairwise_sq_dists and the mmd_loss backward work
+# in blocks of three rows, and of one row
+WIDE_BLOCKS = _SCRATCH_BYTES // (3 * 8)
+WIDE_ROWS = _SCRATCH_BYTES // 8 + 1
 
 
 def test_kernel_self_is_one():
@@ -121,14 +126,23 @@ def test_pairwise_sq_dists_clipped_nonnegative():
     assert np.all(pairwise_sq_dists(x) >= 0.0)
 
 
-def test_pairwise_sq_dists_exact_symmetry_diagonal_and_permutation():
+def check_symmetry_diagonal_and_permutation(dim):
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((9, 1000))
+    x = rng.standard_normal((9, dim))
     d = pairwise_sq_dists(x)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     perm = rng.permutation(9)
     assert np.array_equal(pairwise_sq_dists(x[perm]), d[np.ix_(perm, perm)])
+
+
+def test_pairwise_sq_dists_exact_symmetry_diagonal_and_permutation():
+    check_symmetry_diagonal_and_permutation(1000)
+
+
+@pytest.mark.parametrize("dim", [WIDE_BLOCKS, WIDE_ROWS])
+def test_pairwise_sq_dists_exact_symmetry_diagonal_and_permutation_in_blocks(dim):
+    check_symmetry_diagonal_and_permutation(dim)
 
 
 def test_mmd_float32_swap_symmetry_at_width():
@@ -153,7 +167,8 @@ def broadcast_mmd(s, t, sigma):
             - 2.0 * math.fsum(kmat(s, t).ravel()) / (ns * nt))
 
 
-@pytest.mark.parametrize("ns,nt,d", [(1, 1, 3), (3, 8, 7), (6, 4, 200), (9, 5, 1500)])
+@pytest.mark.parametrize("ns,nt,d", [(1, 1, 3), (3, 8, 7), (6, 4, 200), (9, 5, 1500),
+                                     (9, 5, WIDE_BLOCKS), (3, 2, WIDE_ROWS)])
 def test_mmd_bitwise_equals_broadcast_reference(ns, nt, d):
     rng = np.random.default_rng(d)
     s = rng.standard_normal((ns, d))
@@ -177,3 +192,41 @@ def test_mmd_and_bandwidth_peak_memory_linear_in_rows():
     finally:
         tracemalloc.stop()
     assert peak < 8 * both.nbytes
+
+
+def test_pairwise_sq_dists_scratch_is_bounded():
+    # one row is 1.6 MB; an unblocked (x[i+1:] - x[i]) ** 2 per row peaks at 24 MB
+    x = np.random.default_rng(14).standard_normal((16, 200_000))
+    tracemalloc.start()
+    try:
+        d = pairwise_sq_dists(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20 + 2 * d.nbytes
+
+
+def out_of_place_grads(s, t, sigma):
+    """The MMD gradient as one out-of-place expression, at g = 1."""
+    ns, nt = len(s), len(t)
+    x = np.concatenate([s.astype(np.float64), t.astype(np.float64)])
+    k = np.exp(-pairwise_sq_dists(x) * (1.0 / (2.0 * sigma * sigma)))
+    w = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
+    grad = (2.0 / (sigma * sigma)) * w[:, None] * ((k * w) @ x - (k @ w)[:, None] * x)
+    return grad[:ns].astype(s.dtype), grad[ns:].astype(t.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [300, WIDE_BLOCKS, WIDE_ROWS])
+def test_mmd_gradient_bitwise_equals_out_of_place(dtype, d):
+    rng = np.random.default_rng(d)
+    s = rng.standard_normal((6, d)).astype(dtype)
+    t = (rng.standard_normal((5, d)) + 0.3).astype(dtype)
+    sigma = median_bandwidth(np.concatenate([s, t]))
+    fs = Tensor(s, requires_grad=True, dtype=dtype)
+    ft = Tensor(t, requires_grad=True, dtype=dtype)
+    mmd_loss(fs, ft, sigma).backward()
+    want_s, want_t = out_of_place_grads(s, t, sigma)
+    assert fs.grad.dtype == dtype and ft.grad.dtype == dtype
+    assert fs.grad.tobytes() == (np.zeros_like(s) + want_s).tobytes()
+    assert ft.grad.tobytes() == (np.zeros_like(t) + want_t).tobytes()
