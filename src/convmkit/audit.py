@@ -10,8 +10,8 @@ import io
 import csv
 from dataclasses import dataclass, field
 
-from .layers import BRANCHES, ConvMConfig
-from .network import NetworkSpec, propagate_shapes
+from .layers import BRANCHES, ConvMConfig, branch_counts, count_conv_m  # noqa: F401 (re-export)
+from .network import KINDS, NetworkSpec, layer_params, propagate_shapes
 
 # Table of golden per-layer counts for the reference network, keyed by
 # 1-based layer index (layers without weights are absent).
@@ -27,30 +27,6 @@ REFERENCE_COUNTS = {
     15: 688_000,
 }
 REFERENCE_TOTAL = 4_118_080
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    if num % den:
-        raise ValueError(f"{what}: {num} not divisible by groups={den}")
-    return num // den
-
-
-def branch_counts(cfg: ConvMConfig) -> tuple[int, int, int]:
-    """Weights of each branch in ``BRANCHES`` order: the 1x1 projection plus
-    two grouped k x k convs. Dilation and the transposed conv's crop add no
-    weights."""
-    k2 = cfg.k * cfg.k
-    counts = []
-    for b, names in enumerate(BRANCHES, start=1):
-        proj, mid, out = (getattr(cfg, name) for name in names)
-        counts.append(cfg.n_in * proj
-                      + _exact_div(proj * mid * k2, cfg.groups, f"branch{b} {names[1]}")
-                      + _exact_div(mid * out * k2, cfg.groups, f"branch{b} {names[2]}"))
-    return tuple(counts)
-
-
-def count_conv_m(cfg: ConvMConfig) -> int:
-    return sum(branch_counts(cfg))
 
 
 @dataclass
@@ -103,24 +79,17 @@ class ParamReport:
 
 
 def count_network(spec: NetworkSpec) -> ParamReport:
-    """Per-layer weight counts for every layer that carries weights. Input
-    channels come from ``propagate_shapes``, so a spec whose shapes do not
-    chain is a ValueError naming the layer."""
+    """Per-layer weight counts, by the count rule of each layer's ``KINDS``
+    record, for every layer that carries weights. Input channels come from
+    ``propagate_shapes``, so an invalid spec is a ValueError naming the
+    layer."""
     shapes = propagate_shapes(spec)
     report = ParamReport()
     for i, e in enumerate(spec.layers[1:], start=1):
-        p = e.params
-        c_in = shapes[i - 1][0]
-        if e.kind == "conv":
-            n = _exact_div(p["k"] * p["k"] * c_in * p["out_channels"],
-                           p.get("groups", 1), spec.layer_name(i))
-        elif e.kind == "conv_m":
-            n = count_conv_m(p["cfg"])
-        elif e.kind == "linear":
-            n = c_in * p["out_features"]
-        else:
-            continue
-        report.entries.append(ReportEntry(i + 1, e.kind, n))
+        count = KINDS[e.kind].count
+        if count is not None:
+            n = count(layer_params(e), shapes[i - 1][0])
+            report.entries.append(ReportEntry(i + 1, e.kind, n))
     return report
 
 

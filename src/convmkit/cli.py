@@ -45,27 +45,26 @@ def main():
 def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
     """Count parameters layer by layer and diff against the golden table."""
     named = {"reference": reference_spec, "tiny": tiny_spec}
-    if config_path:
-        spec = _load_config(config_path).resolve_spec()
-    elif spec_name in named:
-        spec = named[spec_name]()
-    elif Path(spec_name).is_file():
-        spec = RunConfig(network=spec_name).resolve_spec()
-    else:
-        raise click.BadParameter(f"{spec_name!r} is not 'tiny', 'reference' or "
-                                 "a spec YAML path", param_hint="'--spec'")
     if golden is None:
         golden = spec_name == "reference" and not config_path
-    reference = REFERENCE_COUNTS if golden else None
     try:
-        report = run_audit(spec, reference)
+        if config_path:
+            spec = _load_config(config_path).resolve_spec()
+        elif spec_name in named:
+            spec = named[spec_name]()
+        elif Path(spec_name).is_file():
+            spec = RunConfig(network=spec_name).resolve_spec()
+        else:
+            raise click.BadParameter(f"{spec_name!r} is not 'tiny', 'reference' or "
+                                     "a spec YAML path", param_hint="'--spec'")
+        report = run_audit(spec, REFERENCE_COUNTS if golden else None)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(report.to_table())
     if solve_groups:
         click.echo("group-factor derivation:")
         by_layer = {e.layer: e for e in report.entries}
-        for i in spec.conv_m_indices():
+        for i in spec.indices("conv_m"):
             cfg = spec.layers[i].params["cfg"]
             target = by_layer[i + 1].reference or by_layer[i + 1].computed
             g = derive_groups(cfg, target)
@@ -178,10 +177,14 @@ def _load_data(cfg: RunConfig):
 
 
 def _build_model(cfg: RunConfig):
-    """The test-time predictor: the encoder with the DA prediction head."""
+    """The test-time predictor: the encoder with the DA prediction head; a
+    spec it cannot take is a click error."""
     rng = np.random.default_rng(cfg.solver.seed)
-    net = build_network(cfg.resolve_spec(), rng=rng)
-    return attach_da_heads(net, cfg.num_classes, rng=rng)
+    try:
+        net = build_network(cfg.resolve_spec(), rng=rng)
+        return attach_da_heads(net, cfg.num_classes, rng=rng)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
 
 
 def _load_checkpoint(model, path) -> dict:
@@ -226,12 +229,12 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
     if resume_path:
         _load_checkpoint(model, resume_path)
 
-    if cfg.mode == "da":
-        attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))
-        da_cfg = cfg.da
-    else:
-        da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
     try:
+        if cfg.mode == "da":
+            attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))
+            da_cfg = cfg.da
+        else:
+            da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
         columns = metric_columns(len(mmd_taps(model, da_cfg)))
         history = train_da(model, data, da_cfg, cfg.solver)
     except ValueError as exc:  # a config the model or data cannot take

@@ -68,13 +68,13 @@ class DomainBatch:
 
 
 def default_mmd_layers(net: Network) -> list[str]:
-    idx = net.spec.conv_m_indices()[-3:]
+    idx = net.spec.indices("conv_m")[-3:]
     return [net.spec.layer_name(i) for i in idx]
 
 
 def default_freeze_set(net: Network) -> list[str]:
-    stem = [i for i, e in enumerate(net.spec.layers) if e.kind == "conv"][:1]
-    return [net.spec.layer_name(i) for i in stem + net.spec.conv_m_indices()[:3]]
+    stem = net.spec.indices("conv")[:1]
+    return [net.spec.layer_name(i) for i in stem + net.spec.indices("conv_m")[:3]]
 
 
 def mmd_taps(model: Network, cfg: DAConfig) -> list[int]:

@@ -7,7 +7,7 @@ training loop controls dropout RNG and train/eval mode.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -116,10 +116,40 @@ class ConvMConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConvMConfig":
+        """From a spec file's ``cfg`` mapping; an unknown key is a ValueError
+        that lists the valid keys."""
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in d if key not in names]
+        if unknown:
+            raise ValueError(f"unknown cfg key(s) {unknown}; valid keys are {names}")
         d = dict(d)
         if "dilations" in d:
             d["dilations"] = tuple(d["dilations"])
         return cls(**d)
+
+
+def _exact_div(num: int, den: int, what: str) -> int:
+    if num % den:
+        raise ValueError(f"{what}: {num} not divisible by groups={den}")
+    return num // den
+
+
+def branch_counts(cfg: ConvMConfig) -> tuple[int, int, int]:
+    """Weights of each branch in ``BRANCHES`` order: the 1x1 projection plus
+    two grouped k x k convs. Dilation and the transposed conv's crop add no
+    weights."""
+    k2 = cfg.k * cfg.k
+    counts = []
+    for b, names in enumerate(BRANCHES, start=1):
+        proj, mid, out = (getattr(cfg, name) for name in names)
+        counts.append(cfg.n_in * proj
+                      + _exact_div(proj * mid * k2, cfg.groups, f"branch{b} {names[1]}")
+                      + _exact_div(mid * out * k2, cfg.groups, f"branch{b} {names[2]}"))
+    return tuple(counts)
+
+
+def count_conv_m(cfg: ConvMConfig) -> int:
+    return sum(branch_counts(cfg))
 
 
 def receptive_field(d: int) -> int:

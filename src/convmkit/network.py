@@ -6,14 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
-from .layers import BRANCHES, Conv2d, ConvM, ConvMConfig, Linear
+from .layers import BRANCHES, Conv2d, ConvM, ConvMConfig, Linear, count_conv_m
 from .tensor import Tensor
 
-LAYER_KINDS = ("input", "conv", "maxpool", "conv_m", "avgpool", "linear")
 DECODER_NAMES = ("decoder1", "decoder2")  # built by attach_decoders
 
 
@@ -34,12 +34,16 @@ class LayerSpec:
             if key in d:
                 raise ValueError(f"layer spec key {key!r} is no longer supported; "
                                  "freeze layers with the run config's da.freeze_set")
+        if "kind" not in d:
+            raise ValueError("layer has no 'kind'")
         p = dict(d.get("params", {}))
         if "regular_only" in p:
             raise ValueError("layer spec param 'regular_only' is no longer supported; "
                              "the regular-conv ablation is cfg.dilations [1, 1] "
                              "(network.regular_conv_spec)")
         if d["kind"] == "conv_m":
+            if not isinstance(p.get("cfg"), dict):
+                raise ValueError("a 'conv_m' layer needs a 'cfg' mapping")
             p["cfg"] = ConvMConfig.from_dict(p["cfg"])
         return cls(kind=d["kind"], params=p)
 
@@ -55,19 +59,27 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(layers=[LayerSpec.from_dict(e) for e in d["layers"]])
+        """From a spec file's mapping; a malformed layer is a ValueError that
+        names it (``layer_name``)."""
+        if not isinstance(d, dict) or not isinstance(d.get("layers"), list):
+            raise ValueError("a spec needs a 'layers' list")
+        layers = []
+        for i, e in enumerate(d["layers"]):
+            try:
+                layers.append(LayerSpec.from_dict(e))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{cls.layer_name(i)}: {exc}") from exc
+        return cls(layers=layers)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def conv_m_indices(self) -> list[int]:
-        return [i for i, e in enumerate(self.layers) if e.kind == "conv_m"]
+    def indices(self, kind: str) -> list[int]:
+        return [i for i, e in enumerate(self.layers) if e.kind == kind]
 
-    def maxpool_indices(self) -> list[int]:
-        return [i for i, e in enumerate(self.layers) if e.kind == "maxpool"]
-
-    def layer_name(self, i: int) -> str:
+    @staticmethod
+    def layer_name(i: int) -> str:
         return f"layer{i + 1}"
 
     def layer_indices(self, names, option: str) -> list[int]:
@@ -81,63 +93,176 @@ class NetworkSpec:
         return [index[n] for n in names]
 
 
-def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
-    """The shape table: per-layer output shapes (C, H, W), where linear and
-    avgpool report (C, 1, 1). The builder, the audit and the decoders read
-    their channels and sizes from it.
+# ---------------------------------------------------------------------------
+# the layer-kind table
+# ---------------------------------------------------------------------------
 
-    It also validates the spec: the first layer must be ``input``, every kind
-    must be in ``LAYER_KINDS``, and every layer must consume its input shape;
-    a ValueError names the layer at fault (``spec.layer_name``).
+
+@dataclass(frozen=True)
+class Kind:
+    """One layer kind: ``propagate_shapes``, ``Network`` and the audit walk
+    these records, and ``p`` is a layer's ``layer_params``."""
+
+    params: dict   # name -> default, or the param's type when it is required
+    shape: Callable  # (p, (c, h, w)) -> output shape; ValueError if it cannot take it
+    step: Callable   # (st, i, module, p, x) -> y, writing side outputs to ``st``
+    count: Callable | None = None  # (p, c_in) -> weights, allocating nothing
+    build: Callable | None = None  # (p, c_in, rng, dtype) -> module
+    # input forms it takes: None (it opens the spec), "map" ([N, C, H, W]) or
+    # "flat" ([N, C]); a ``flat`` kind's output is flat, (C*H*W, 1, 1) in the table
+    takes: tuple = ("map",)
+    flat: bool = False
+
+
+def _conv_shape(p, s):
+    c, h, w = s
+    k, stride, pad, g = p["k"], p["stride"], p["padding"], p["groups"]
+    h = (h + 2 * pad - k) // stride + 1
+    w = (w + 2 * pad - k) // stride + 1
+    if h < 1 or w < 1:
+        raise ValueError("conv output collapsed to zero size")
+    if c % g or p["out_channels"] % g:
+        raise ValueError(f"conv channels ({c}->{p['out_channels']}) "
+                         f"not divisible by groups={g}")
+    return p["out_channels"], h, w
+
+
+def _pool_shape(size):
+    def shape(p, s):
+        c, h, w = s
+        k, stride = p["k"], p["stride"]
+        if k > h or k > w:
+            raise ValueError(f"pool window {k} exceeds input {h}x{w}")
+        return c, size(h, k, stride), size(w, k, stride)
+    return shape
+
+
+def _conv_m_shape(p, s):
+    cfg: ConvMConfig = p["cfg"]
+    cfg.validate()
+    if cfg.n_in != s[0]:
+        raise ValueError(f"conv_m expects {cfg.n_in} input channels, got {s[0]}")
+    return cfg.out_channels, s[1], s[2]
+
+
+def _linear_shape(p, s):
+    if s[1:] != (1, 1):
+        raise ValueError("linear layer needs 1x1 spatial input")
+    return p["out_features"], 1, 1
+
+
+def _maxpool_step(st, i, mod, p, x):
+    # only the decoders read the index maps
+    y, idx = T.maxpool2d_with_indices(x, p["k"], p["stride"], indices=st.with_decoders)
+    if idx is not None:
+        st.pool_indices[i] = idx
+    return y
+
+
+def _conv_m_step(st, i, mod, p, x):
+    y, st.branch_taps[i] = mod.forward_with_taps(x, training=st.training, rng=st.rng)
+    return y
+
+
+def _avgpool_step(st, i, mod, p, x):
+    st.features = T.flatten2d(T.avgpool2d(x, p["k"], p["stride"]))
+    return st.features
+
+
+def _linear_step(st, i, mod, p, x):
+    if x.data.ndim > 2:  # a 1x1 map that no avgpool flattened
+        x = T.flatten2d(x)
+    st.logits = mod(x)
+    return st.logits
+
+
+_POOL = {"k": int, "stride": int}
+
+KINDS: dict[str, Kind] = {
+    "input": Kind(
+        {"channels": int, "height": int, "width": int},
+        shape=lambda p, s: (p["channels"], p["height"], p["width"]),
+        step=lambda st, i, mod, p, x: x, takes=(None,)),
+    "conv": Kind(
+        {"out_channels": int, "k": int, "stride": 1, "padding": 0, "groups": 1},
+        shape=_conv_shape,
+        step=lambda st, i, mod, p, x: T.relu(mod(x)),
+        count=lambda p, c_in: c_in // p["groups"] * p["out_channels"] * p["k"] ** 2,
+        build=lambda p, c_in, rng, dtype: Conv2d(
+            c_in, p["out_channels"], p["k"], stride=p["stride"], padding=p["padding"],
+            groups=p["groups"], rng=rng, dtype=dtype)),
+    "maxpool": Kind(_POOL, shape=_pool_shape(T._ceil_pool_size), step=_maxpool_step),
+    "conv_m": Kind(
+        {"cfg": ConvMConfig}, shape=_conv_m_shape, step=_conv_m_step,
+        count=lambda p, c_in: count_conv_m(p["cfg"]),
+        build=lambda p, c_in, rng, dtype: ConvM(p["cfg"], rng=rng, dtype=dtype)),
+    "avgpool": Kind(_POOL, shape=_pool_shape(lambda n, k, s: (n - k) // s + 1),
+                    step=_avgpool_step, flat=True),
+    "linear": Kind(
+        {"out_features": int}, shape=_linear_shape, step=_linear_step,
+        count=lambda p, c_in: c_in * p["out_features"],
+        build=lambda p, c_in, rng, dtype: Linear(c_in, p["out_features"], rng=rng,
+                                                 dtype=dtype),
+        takes=("map", "flat"), flat=True),
+}
+
+
+def layer_params(e: LayerSpec) -> dict:
+    """``e.params`` with its kind's defaults filled in; the spec keeps its hash."""
+    return {key: e.params.get(key, d) for key, d in KINDS[e.kind].params.items()}
+
+
+def _check_params(e: LayerSpec, kind: Kind) -> None:
+    unknown = [key for key in e.params if key not in kind.params]
+    if unknown:
+        raise ValueError(f"unknown param(s) {unknown} for {e.kind!r}; "
+                         f"valid params are {list(kind.params)}")
+    for key, d in kind.params.items():
+        v = e.params.get(key, d)
+        typ = d if isinstance(d, type) else type(d)
+        if v is typ:
+            raise ValueError(f"{e.kind!r} needs param {key!r}")
+        if not isinstance(v, typ):
+            raise ValueError(f"param {key!r} must be of type {typ.__name__}, got {v!r}")
+        low = 0 if d == 0 else 1  # a count or size is >= 1; padding (default 0) >= 0
+        if typ is int and v < low:
+            raise ValueError(f"param {key!r} must be >= {low}, got {v}")
+
+
+def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
+    """The shape table: per-layer output shapes (C, H, W), read by the
+    builder, the audit and the decoders.
+
+    It also validates the spec against ``KINDS``: each layer's kind must take
+    the previous layer's output form, and its params must be its kind's, in
+    range, and fit its input shape; a ValueError names the layer at fault
+    (``spec.layer_name``).
     """
-    if not spec.layers or spec.layers[0].kind != "input":
+    if not spec.layers:
         raise ValueError("spec must start with an 'input' layer")
     shapes = []
-    c = h = w = None
+    s = form = None
     for i, e in enumerate(spec.layers):
-        p = e.params
         try:
-            if e.kind not in LAYER_KINDS:
-                raise ValueError(f"unknown kind {e.kind!r}")
-            if e.kind == "input":
-                c, h, w = p["channels"], p["height"], p["width"]
-            elif e.kind == "conv":
-                k, s, pad = p["k"], p.get("stride", 1), p.get("padding", 0)
-                h = (h + 2 * pad - k) // s + 1
-                w = (w + 2 * pad - k) // s + 1
-                if h < 1 or w < 1:
-                    raise ValueError("conv output collapsed to zero size")
-                g = p.get("groups", 1)
-                if c % g or p["out_channels"] % g:
-                    raise ValueError(f"conv channels ({c}->{p['out_channels']}) "
-                                     f"not divisible by groups={g}")
-                c = p["out_channels"]
-            elif e.kind == "maxpool":
-                k, s = p["k"], p["stride"]
-                if k > h or k > w:
-                    raise ValueError(f"pool window {k} exceeds input {h}x{w}")
-                h, w = T._ceil_pool_size(h, k, s), T._ceil_pool_size(w, k, s)
-            elif e.kind == "conv_m":
-                cfg: ConvMConfig = p["cfg"]
-                cfg.validate()
-                if cfg.n_in != c:
-                    raise ValueError(f"conv_m expects {cfg.n_in} input channels, got {c}")
-                c = cfg.out_channels
-            elif e.kind == "avgpool":
-                k, s = p["k"], p["stride"]
-                if k > h or k > w:
-                    raise ValueError(f"pool window {k} exceeds input {h}x{w}")
-                h = (h - k) // s + 1
-                w = (w - k) // s + 1
-            elif e.kind == "linear":
-                if h != 1 or w != 1:
-                    raise ValueError("linear layer needs 1x1 spatial input")
-                c = p["out_features"]
+            if e.kind not in KINDS:
+                raise ValueError(f"unknown kind {e.kind!r}; valid kinds are {list(KINDS)}")
+            kind = KINDS[e.kind]
+            if form not in kind.takes:
+                if form is None:
+                    raise ValueError("spec must start with an 'input' layer")
+                takers = [k for k, r in KINDS.items() if form in r.takes]
+                raise ValueError(f"{e.kind!r} cannot take the {form} output of "
+                                 f"{spec.layer_name(i - 1)}; only {takers} can")
+            _check_params(e, kind)
+            s = kind.shape(layer_params(e), s)
+            if kind.flat:  # the forward pass flattens the output to [N, C*H*W]
+                s = (s[0] * s[1] * s[2], 1, 1)
+            form = "flat" if kind.flat else "map"
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{spec.layer_name(i)}: malformed params: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{spec.layer_name(i)}: {exc}") from exc
-        shapes.append((c, h, w))
+        shapes.append(s)
     return shapes
 
 
@@ -211,7 +336,7 @@ def regular_conv_spec(spec: NetworkSpec) -> NetworkSpec:
     transposed conv already is a "same" conv over a flipped weight view, and
     the parameter census is unchanged."""
     out = NetworkSpec.from_dict(spec.to_dict())
-    for i in out.conv_m_indices():
+    for i in out.indices("conv_m"):
         out.layers[i].params["cfg"].dilations = (1, 1)
     return out
 
@@ -222,12 +347,13 @@ def regular_conv_spec(spec: NetworkSpec) -> NetworkSpec:
 
 
 class ForwardState:
-    """Everything a single forward pass produced beyond its output: per-layer
-    outputs, pooling index maps (built only for a pass with decoders), and the
-    three branch outputs of each module."""
+    """One forward pass: its mode (``training``, dropout ``rng``,
+    ``with_decoders``), and everything it produced beyond its output:
+    per-layer outputs, pooling index maps (built only for a pass with
+    decoders), and the three branch outputs of each module."""
 
-    def __init__(self, x: Tensor):
-        self.input = x
+    def __init__(self, x: Tensor, training=False, rng=None, with_decoders=False):
+        self.training, self.rng, self.with_decoders = training, rng, with_decoders
         self.layer_outputs: dict[int, Tensor] = {}
         self.pool_indices: dict[int, np.ndarray] = {}
         self.branch_taps: dict[int, dict[str, Tensor]] = {}
@@ -249,33 +375,26 @@ class Network:
         self.num_classes: int | None = None
         self.decoders: list["Decoder"] | None = None
         for i, e in enumerate(spec.layers[1:], start=1):
-            p = e.params
-            c_in = self.shapes[i - 1][0]
-            if e.kind == "conv":
-                self.modules[i] = Conv2d(c_in, p["out_channels"], p["k"],
-                                         stride=p.get("stride", 1),
-                                         padding=p.get("padding", 0),
-                                         groups=p.get("groups", 1),
-                                         rng=rng, dtype=dtype)
-            elif e.kind == "conv_m":
-                self.modules[i] = ConvM(p["cfg"], rng=rng, dtype=dtype)
-            elif e.kind == "linear":
-                self.modules[i] = Linear(c_in, p["out_features"], rng=rng, dtype=dtype)
+            build = KINDS[e.kind].build
+            if build is not None:
+                self.modules[i] = build(layer_params(e), self.shapes[i - 1][0], rng, dtype)
 
     # -- structure edits -----------------------------------------------------
 
     @property
     def feature_dim(self) -> int:
-        for i, e in enumerate(self.spec.layers):
-            if e.kind == "avgpool":
-                return self.shapes[i][0]
-        raise ValueError("network has no avgpool stage")
+        pools = self.spec.indices("avgpool")
+        if not pools:
+            raise ValueError("network has no avgpool stage")
+        return self.shapes[pools[0]][0]
 
     def remove_classifier(self) -> None:
-        idx = [i for i, e in enumerate(self.spec.layers) if e.kind == "linear"]
-        for i in idx:
-            self.modules.pop(i, None)
-        self.spec = NetworkSpec([e for e in self.spec.layers if e.kind != "linear"])
+        # only a linear takes a linear's output, so the linear layers end the
+        # spec and removing them moves no other layer's index
+        linears = self.spec.indices("linear")
+        for i in linears:
+            del self.modules[i]
+        self.spec = NetworkSpec(self.spec.layers[:len(self.spec.layers) - len(linears)])
         self.shapes = propagate_shapes(self.spec)
 
     # -- parameters ------------------------------------------------------------
@@ -308,32 +427,10 @@ class Network:
         if tuple(x.shape[1:]) != self.shapes[0]:
             raise ValueError(f"input batch has per-image shape {list(x.shape[1:])}, "
                              f"but the spec's input layer is {list(self.shapes[0])}")
-        st = ForwardState(x)
+        st = ForwardState(x, training, rng, with_decoders)
         cur = x
         for i, e in enumerate(self.spec.layers):
-            p = e.params
-            if e.kind == "input":
-                pass
-            elif e.kind == "conv":
-                cur = T.relu(self.modules[i](cur))
-            elif e.kind == "maxpool":
-                # only the decoders read the index maps
-                cur, idx = T.maxpool2d_with_indices(cur, p["k"], p["stride"],
-                                                    indices=with_decoders)
-                if idx is not None:
-                    st.pool_indices[i] = idx
-            elif e.kind == "conv_m":
-                cur, taps = self.modules[i].forward_with_taps(cur, training=training, rng=rng)
-                st.branch_taps[i] = taps
-            elif e.kind == "avgpool":
-                cur = T.avgpool2d(cur, p["k"], p["stride"])
-                st.features = T.flatten2d(cur)
-                cur = st.features
-            elif e.kind == "linear":
-                if cur.data.ndim > 2:  # a 1x1 map that no avgpool flattened
-                    cur = T.flatten2d(cur)
-                cur = self.modules[i](cur)
-                st.logits = cur
+            cur = KINDS[e.kind].step(st, i, self.modules.get(i), layer_params(e), cur)
             st.layer_outputs[i] = cur
         if self.head is not None:
             if st.features is None:
@@ -427,10 +524,14 @@ def attach_decoders(net: Network, *, rng=None) -> Network:
     output and unpools through every pooling layer; D2 taps the stage before
     the last pooling layer and unpools through the remaining chain."""
     rng = rng or np.random.default_rng(0)
-    pools = net.spec.maxpool_indices()
+    pools = net.spec.indices("maxpool")
     if len(pools) < 2:
         raise ValueError("need at least two pooling stages for two decoders")
-    d1_tap = net.spec.conv_m_indices()[-1]
+    modules = net.spec.indices("conv_m")
+    if not modules:
+        raise ValueError(f"{DECODER_NAMES[0]} needs a conv_m tap, and the spec has "
+                         "no conv_m layer")
+    d1_tap = modules[-1]
     d2_tap = pools[-1] - 1  # output feeding the last pooling layer
     d1, d2 = DECODER_NAMES
     net.decoders = [

@@ -45,7 +45,7 @@ def test_criterion_01_parameter_audit():
 def test_criterion_02_group_factor_derivation():
     spec = reference_spec()
     factors = []
-    for i in spec.conv_m_indices():
+    for i in spec.indices("conv_m"):
         cfg = spec.layers[i].params["cfg"]
         factors.append(solve_groups(cfg, REFERENCE_COUNTS[i + 1]))
     ok = factors == [4] * 7

@@ -103,7 +103,7 @@ class TestSolveGroups:
         spec = reference_spec()
         golden = {4: 51712, 6: 217088, 7: 268288, 9: 591872,
                   10: 681984, 12: 783360, 13: 826368}
-        for i in spec.conv_m_indices():
+        for i in spec.indices("conv_m"):
             cfg = spec.layers[i].params["cfg"]
             assert A.solve_groups(cfg, golden[i + 1]) == 4
 
@@ -122,7 +122,7 @@ class TestAudit:
 
     def test_g1_spec_every_convm_row_positive_diff(self):
         spec = reference_spec()
-        for i in spec.conv_m_indices():
+        for i in spec.indices("conv_m"):
             spec.layers[i].params["cfg"].groups = 1
         rep = A.audit(spec, A.REFERENCE_COUNTS)
         for e in rep.entries:
@@ -186,7 +186,7 @@ class TestRegularConvAblation:
         base = tiny_spec()
         ablated = regular_conv_spec(base)
         net = build_network(ablated, rng=np.random.default_rng(0))
-        for i in ablated.conv_m_indices():
+        for i in ablated.indices("conv_m"):
             assert net.modules[i].dic1.dilation == net.modules[i].dic2.dilation == 1
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
         st = net.forward(T.Tensor(x))

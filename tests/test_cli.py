@@ -93,6 +93,36 @@ class TestAudit:
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "Error: layer4: conv_m expects 32 input channels, got 64" in res.output
 
+    @pytest.mark.parametrize("layer,message", [
+        ({"params": {"k": 1}}, "layer2: layer has no 'kind'"),
+        ({"kind": "conv_m", "params": {}}, "layer2: a 'conv_m' layer needs a 'cfg' mapping"),
+        ({"kind": "conv_m", "params": {"cfg": {"foo": 1}}}, "layer2: unknown cfg key(s) ['foo']"),
+        ({"kind": "conv", "params": {"out_channels": 2, "k": 1, "stride": 0}},
+         "layer2: param 'stride' must be >= 1, got 0"),
+        ({"kind": "conv", "params": {"out_channels": 2, "k": 1, "dilation": 2}},
+         "layer2: unknown param(s) ['dilation'] for 'conv'"),
+    ])
+    def test_spec_file_error_is_a_clean_error(self, runner, tmp_path, layer, message):
+        sp = tmp_path / "spec.yaml"
+        sp.write_text(yaml.safe_dump({"layers": [
+            {"kind": "input", "params": {"channels": 3, "height": 4, "width": 4}}, layer]}))
+        res = runner.invoke(main, ["audit", "--spec", str(sp)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert f"Error: {message}" in res.output
+
+    def test_layer_after_a_flat_output_is_a_clean_error(self, runner, tmp_path):
+        sp = tmp_path / "spec.yaml"
+        sp.write_text(yaml.safe_dump({"layers": [
+            {"kind": "input", "params": {"channels": 3, "height": 4, "width": 4}},
+            {"kind": "avgpool", "params": {"k": 4, "stride": 1}},
+            {"kind": "linear", "params": {"out_features": 5}},
+            {"kind": "conv", "params": {"out_channels": 2, "k": 1}}]}))
+        res = runner.invoke(main, ["audit", "--spec", str(sp)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Error: layer4: 'conv' cannot take the flat output of layer3" in res.output
+
     def test_unknown_spec_is_a_usage_error(self, runner):
         res = runner.invoke(main, ["audit", "--spec", "bogus"])
         assert res.exit_code == 2
@@ -246,6 +276,41 @@ class TestTrainEvalExport:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "[3, 64, 64]" in res.output and "[3, 32, 32]" in res.output
+
+    @staticmethod
+    def spec_file(tmp_path, stem):
+        """input 3x32x32 -> ``stem`` -> two conv/maxpool stages -> avgpool -> linear."""
+        layers = [{"kind": "input", "params": {"channels": 3, "height": 32, "width": 32}},
+                  {"kind": "conv", "params": stem}]
+        for _ in range(2):
+            layers += [{"kind": "maxpool", "params": {"k": 2, "stride": 2}},
+                       {"kind": "conv", "params": {"out_channels": 4, "k": 3, "padding": 1}}]
+        layers += [{"kind": "avgpool", "params": {"k": 8, "stride": 1}},
+                   {"kind": "linear", "params": {"out_features": 4}}]
+        sp = tmp_path / "spec.yaml"
+        sp.write_text(yaml.safe_dump({"layers": layers}))
+        return str(sp)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-features"])
+    def test_invalid_spec_is_a_clean_error(self, runner, tmp_path, command):
+        spec = self.spec_file(tmp_path, {"out_channels": 4, "k": 3, "stride": 0})
+        cfg = small_config(tmp_path, network=spec)
+        args = {"train": [],
+                "eval": ["--checkpoint", str(cfg)],
+                "export-features": ["--checkpoint", str(cfg), "--images", str(cfg),
+                                    "--layer", "layer2", "--out", str(tmp_path)]}[command]
+        res = runner.invoke(main, [command, "--config", str(cfg), *args])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Error: layer2: param 'stride' must be >= 1, got 0" in res.output
+
+    def test_da_without_conv_m_is_a_clean_error(self, runner, tmp_path):
+        spec = self.spec_file(tmp_path, {"out_channels": 4, "k": 3, "padding": 1})
+        cfg = small_config(tmp_path, network=spec, mode="da")
+        res = runner.invoke(main, ["train", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "Error: decoder1 needs a conv_m tap" in res.output
 
     def test_synthetic_and_written_data_share_stats(self, runner, tmp_path):
         cfg = RunConfig(synth=SynthParams(num_classes=3, per_class=4, size=16, seed=2))

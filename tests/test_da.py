@@ -174,7 +174,7 @@ class TestDefaults:
     def test_mmd_taps_are_last_three_modules(self):
         model = tiny_model()
         taps = default_mmd_layers(model)
-        idx = model.spec.conv_m_indices()
+        idx = model.spec.indices("conv_m")
         assert taps == [model.spec.layer_name(i) for i in idx[-3:]]
 
     def test_freeze_set_is_stem_plus_first_three_modules(self):
@@ -185,7 +185,7 @@ class TestDefaults:
                     if e.kind == "conv")
         assert frozen[0] == model.spec.layer_name(stem)
         assert frozen[1:] == [model.spec.layer_name(i)
-                              for i in model.spec.conv_m_indices()[:3]]
+                              for i in model.spec.indices("conv_m")[:3]]
 
 
 class TestTrainingLoops:

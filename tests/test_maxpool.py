@@ -125,7 +125,7 @@ def test_forward_builds_indices_only_for_decoders():
     net = attach_decoders(attach_da_heads(build_network(tiny_spec(), rng=rng), 4, rng=rng),
                           rng=rng)
     x = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))
-    pools = net.spec.maxpool_indices()
+    pools = net.spec.indices("maxpool")
     assert net.forward(x).pool_indices == {}
     with_decoders = net.forward(x, with_decoders=True)
     assert sorted(with_decoders.pool_indices) == pools

@@ -1,0 +1,132 @@
+"""The layer-kind table: one spec per rule, checked against the shape walk,
+the builder, the forward pass and the audit."""
+
+import numpy as np
+import pytest
+
+from convmkit import tensor as T
+from convmkit.audit import count_network
+from convmkit.layers import ConvMConfig
+from convmkit.network import (KINDS, LayerSpec, NetworkSpec, attach_da_heads,
+                              attach_decoders, build_network, propagate_shapes)
+
+
+def L(kind, **params):
+    return LayerSpec(kind, params)
+
+
+INPUT = L("input", channels=3, height=8, width=8)
+
+
+def every_kind_spec(avgpool_k):
+    """input 3x8x8 -> conv -> maxpool (4x4) -> conv_m -> avgpool -> linear."""
+    cfg = ConvMConfig(n_in=4, c1=2, c2=2, c3=2, c4=2, dic1=2, dic2=2,
+                      c5=2, dec1=2, dec2=2, groups=2)
+    return NetworkSpec([INPUT, L("conv", out_channels=4, k=3, padding=1),
+                        L("maxpool", k=2, stride=2), L("conv_m", cfg=cfg),
+                        L("avgpool", k=avgpool_k, stride=1), L("linear", out_features=3)])
+
+
+class TestKindTable:
+    # avgpool k=4 pools to 1x1; k=2 leaves 3x3, which the forward pass
+    # flattens to 6 * 9 features
+    @pytest.mark.parametrize("avgpool_k,features", [(4, 6), (2, 54)])
+    def test_every_kind_agrees_with_forward_and_census(self, avgpool_k, features):
+        spec = every_kind_spec(avgpool_k)
+        assert {e.kind for e in spec.layers} == set(KINDS)
+        shapes = propagate_shapes(spec)
+        net = build_network(spec, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        st = net.forward(T.Tensor(x), with_decoders=False)
+        for i, e in enumerate(spec.layers):
+            want = shapes[i]
+            if KINDS[e.kind].flat:
+                assert want[1:] == (1, 1)
+                want = want[:1]
+            assert st.layer_outputs[i].shape[1:] == want, spec.layer_name(i)
+        assert shapes[4][0] == features
+        assert net.param_census() == count_network(spec).total
+
+    def test_head_reads_the_flattened_width(self):
+        net = build_network(every_kind_spec(2), rng=np.random.default_rng(0))
+        attach_da_heads(net, 3, rng=np.random.default_rng(0))
+        assert net.feature_dim == 54
+        x = np.zeros((2, 3, 8, 8), np.float32)
+        assert net.forward(T.Tensor(x)).logits.shape == (2, 3)
+
+    @pytest.mark.parametrize("layers,match", [
+        ([L("avgpool", k=8, stride=1), L("linear", out_features=5),
+          L("conv", out_channels=2, k=1)],
+         r"^layer4: 'conv' cannot take the flat output of layer3; only \['linear'\] can"),
+        ([L("avgpool", k=8, stride=1), L("avgpool", k=1, stride=1)],
+         r"^layer3: 'avgpool' cannot take the flat output of layer2"),
+        ([L("avgpool", k=8, stride=1), L("maxpool", k=1, stride=1)],
+         r"^layer3: 'maxpool' cannot take the flat output of layer2"),
+        ([L("conv", out_channels=2, k=1), INPUT],
+         r"^layer3: 'input' cannot take the map output of layer2"),
+    ])
+    def test_layer_after_a_flat_output_is_refused(self, layers, match):
+        spec = NetworkSpec([INPUT, *layers])
+        for fn in (propagate_shapes, count_network, build_network):
+            with pytest.raises(ValueError, match=match):
+                fn(spec)
+
+    @pytest.mark.parametrize("layer,match", [
+        (L("conv", out_channels=2, k=3, dilation=2),
+         r"unknown param\(s\) \['dilation'\] for 'conv'; valid params are "
+         r"\['out_channels', 'k', 'stride', 'padding', 'groups'\]"),
+        (L("conv", out_channels=2, k=1, stride=0), "param 'stride' must be >= 1, got 0"),
+        (L("conv", out_channels=2, k=0), "param 'k' must be >= 1, got 0"),
+        (L("conv", out_channels=0, k=1), "param 'out_channels' must be >= 1, got 0"),
+        (L("conv", out_channels=2, k=1, padding=-1), "param 'padding' must be >= 0, got -1"),
+        (L("conv", out_channels=2, k=1, groups=0), "param 'groups' must be >= 1, got 0"),
+        (L("conv", out_channels=2), "'conv' needs param 'k'"),
+        (L("conv", out_channels=2, k="3"), "param 'k' must be of type int, got '3'"),
+        (L("maxpool", k=0, stride=1), "param 'k' must be >= 1, got 0"),
+        (L("avgpool", k=2, stride=0), "param 'stride' must be >= 1, got 0"),
+        (L("linear", out_features=0), "param 'out_features' must be >= 1, got 0"),
+        (L("conv_m", cfg={"n_in": 3}), "param 'cfg' must be of type ConvMConfig"),
+    ])
+    def test_params_are_checked_per_kind(self, layer, match):
+        spec = NetworkSpec([INPUT, layer])
+        for fn in (propagate_shapes, count_network, build_network):
+            with pytest.raises(ValueError, match="^layer2: " + match):
+                fn(spec)
+
+    @pytest.mark.parametrize("key", ["channels", "height", "width"])
+    def test_input_sizes_must_be_positive(self, key):
+        spec = NetworkSpec([L("input", **{"channels": 3, "height": 8, "width": 8, key: 0})])
+        with pytest.raises(ValueError, match=f"^layer1: param '{key}' must be >= 1, got 0"):
+            propagate_shapes(spec)
+
+
+class TestSpecFile:
+    @pytest.mark.parametrize("layer,match", [
+        ({"params": {"k": 1}}, r"^layer2: layer has no 'kind'"),
+        ({"kind": "conv_m", "params": {}}, r"^layer2: a 'conv_m' layer needs a 'cfg' mapping"),
+        ({"kind": "conv_m", "params": {"cfg": {"n_in": 3, "foo": 1}}},
+         r"^layer2: unknown cfg key\(s\) \['foo'\]; valid keys are \['n_in', 'c1'"),
+        ({"kind": "conv_m", "params": {"cfg": {"n_in": 3}}},
+         r"^layer2: .*missing 9 required positional arguments"),
+    ])
+    def test_malformed_layer_names_it(self, layer, match):
+        d = {"layers": [{"kind": "input", "params": {"channels": 3, "height": 8,
+                                                     "width": 8}}, layer]}
+        with pytest.raises(ValueError, match=match):
+            NetworkSpec.from_dict(d)
+
+    @pytest.mark.parametrize("d", [None, {}, {"layers": "conv"}])
+    def test_spec_needs_a_layer_list(self, d):
+        with pytest.raises(ValueError, match="a spec needs a 'layers' list"):
+            NetworkSpec.from_dict(d)
+
+
+def test_decoders_need_a_conv_m_tap():
+    spec = NetworkSpec([L("input", channels=3, height=16, width=16),
+                        L("conv", out_channels=4, k=3, padding=1), L("maxpool", k=2, stride=2),
+                        L("conv", out_channels=4, k=3, padding=1), L("maxpool", k=2, stride=2),
+                        L("avgpool", k=4, stride=1), L("linear", out_features=2)])
+    net = attach_da_heads(build_network(spec), 2)
+    with pytest.raises(ValueError, match="decoder1 needs a conv_m tap, and the spec "
+                                         "has no conv_m layer"):
+        attach_decoders(net)
