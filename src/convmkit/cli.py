@@ -218,11 +218,7 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
         cfg.solver.seed = seed
     if out_dir:
         cfg.out_dir = out_dir
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.yaml")
-
-    data, stats = _load_data(cfg)
+    # the model is built and checked before the run directory is written;
     # decoders are attached after any resume load: checkpoints hold only the
     # test-time predictor, so a source-only one can seed DA fine-tuning
     model = _build_model(cfg)
@@ -236,6 +232,10 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
         else:
             da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
         columns = metric_columns(len(mmd_taps(model, da_cfg)))
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        save_config(cfg, out / "config.yaml")
+        data, stats = _load_data(cfg)
         history = train_da(model, data, da_cfg, cfg.solver)
     except ValueError as exc:  # a config the model or data cannot take
         raise click.ClickException(str(exc)) from exc
@@ -252,9 +252,9 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
 def cmd_eval(config_path, ckpt_path, split):
     """Top-1 accuracy of a checkpoint on the labeled source or target split."""
     cfg = _load_config(config_path)
-    data, _ = _load_data(cfg)
     model = _build_model(cfg)
     meta = _load_checkpoint(model, ckpt_path)
+    data, _ = _load_data(cfg)
     x, y = ((data.source_x, data.source_y) if split == "source"
             else (data.target_x, data.target_y))
     try:
@@ -288,15 +288,16 @@ def cmd_export_features(config_path, ckpt_path, images_path, layer, out_dir):
         x = synth_mod.normalize(x, meta["stats"])
     with T.no_grad():
         st = model.forward(T.Tensor(x, dtype=model.dtype), training=False)
+        if model.spec.layers[i].kind == "conv_m":
+            _, taps = model.modules[i].forward_with_taps(st.layer_outputs[i - 1])
+            maps = {f"{layer}_{bname}": t for bname, t in taps.items()}
+        else:
+            maps = {layer: st.layer_outputs[i]}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if i in st.branch_taps:
-        for bname, t in st.branch_taps[i].items():
-            tdf.write(out / f"{layer}_{bname}.tdf", t.data)
-            click.echo(f"wrote {out / f'{layer}_{bname}.tdf'}")
-    else:
-        tdf.write(out / f"{layer}.tdf", st.layer_outputs[i].data)
-        click.echo(f"wrote {out / f'{layer}.tdf'}")
+    for name, t in maps.items():
+        tdf.write(out / f"{name}.tdf", t.data)
+        click.echo(f"wrote {out / f'{name}.tdf'}")
 
 
 if __name__ == "__main__":

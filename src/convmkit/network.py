@@ -34,6 +34,10 @@ class LayerSpec:
             if key in d:
                 raise ValueError(f"layer spec key {key!r} is no longer supported; "
                                  "freeze layers with the run config's da.freeze_set")
+        unknown = [key for key in d if key not in ("kind", "params")]
+        if unknown:
+            raise ValueError(f"unknown layer key(s) {unknown}; valid keys are "
+                             "['kind', 'params']")
         if "kind" not in d:
             raise ValueError("layer has no 'kind'")
         p = dict(d.get("params", {}))
@@ -105,7 +109,7 @@ class Kind:
 
     params: dict   # name -> default, or the param's type when it is required
     shape: Callable  # (p, (c, h, w)) -> output shape; ValueError if it cannot take it
-    step: Callable   # (st, i, module, p, x) -> y, writing side outputs to ``st``
+    step: Callable   # (st, i, module, p, x) -> y; only maxpool writes to ``st``
     count: Callable | None = None  # (p, c_in) -> weights, allocating nothing
     build: Callable | None = None  # (p, c_in, rng, dtype) -> module
     # input forms it takes: None (it opens the spec), "map" ([N, C, H, W]) or
@@ -159,21 +163,10 @@ def _maxpool_step(st, i, mod, p, x):
     return y
 
 
-def _conv_m_step(st, i, mod, p, x):
-    y, st.branch_taps[i] = mod.forward_with_taps(x, training=st.training, rng=st.rng)
-    return y
-
-
-def _avgpool_step(st, i, mod, p, x):
-    st.features = T.flatten2d(T.avgpool2d(x, p["k"], p["stride"]))
-    return st.features
-
-
 def _linear_step(st, i, mod, p, x):
     if x.data.ndim > 2:  # a 1x1 map that no avgpool flattened
         x = T.flatten2d(x)
-    st.logits = mod(x)
-    return st.logits
+    return mod(x)
 
 
 _POOL = {"k": int, "stride": int}
@@ -193,11 +186,13 @@ KINDS: dict[str, Kind] = {
             groups=p["groups"], rng=rng, dtype=dtype)),
     "maxpool": Kind(_POOL, shape=_pool_shape(T._ceil_pool_size), step=_maxpool_step),
     "conv_m": Kind(
-        {"cfg": ConvMConfig}, shape=_conv_m_shape, step=_conv_m_step,
+        {"cfg": ConvMConfig}, shape=_conv_m_shape,
+        step=lambda st, i, mod, p, x: mod(x, training=st.training, rng=st.rng),
         count=lambda p, c_in: count_conv_m(p["cfg"]),
         build=lambda p, c_in, rng, dtype: ConvM(p["cfg"], rng=rng, dtype=dtype)),
-    "avgpool": Kind(_POOL, shape=_pool_shape(lambda n, k, s: (n - k) // s + 1),
-                    step=_avgpool_step, flat=True),
+    "avgpool": Kind(
+        _POOL, shape=_pool_shape(lambda n, k, s: (n - k) // s + 1), flat=True,
+        step=lambda st, i, mod, p, x: T.flatten2d(T.avgpool2d(x, p["k"], p["stride"]))),
     "linear": Kind(
         {"out_features": int}, shape=_linear_shape, step=_linear_step,
         count=lambda p, c_in: c_in * p["out_features"],
@@ -348,17 +343,16 @@ def regular_conv_spec(spec: NetworkSpec) -> NetworkSpec:
 
 class ForwardState:
     """One forward pass: its mode (``training``, dropout ``rng``,
-    ``with_decoders``), and everything it produced beyond its output:
-    per-layer outputs, pooling index maps (built only for a pass with
-    decoders), and the three branch outputs of each module."""
+    ``with_decoders``) and its record: every layer's output, the pooling index
+    maps (built only for a pass with decoders), the logits and the decoders'
+    reconstructions."""
 
-    def __init__(self, x: Tensor, training=False, rng=None, with_decoders=False):
+    def __init__(self, training=False, rng=None, with_decoders=False):
         self.training, self.rng, self.with_decoders = training, rng, with_decoders
         self.layer_outputs: dict[int, Tensor] = {}
         self.pool_indices: dict[int, np.ndarray] = {}
-        self.branch_taps: dict[int, dict[str, Tensor]] = {}
-        self.features: Tensor | None = None  # flattened avgpool output
         self.logits: Tensor | None = None
+        self.reconstructions: list[Tensor] = []
 
 
 class Network:
@@ -427,16 +421,16 @@ class Network:
         if tuple(x.shape[1:]) != self.shapes[0]:
             raise ValueError(f"input batch has per-image shape {list(x.shape[1:])}, "
                              f"but the spec's input layer is {list(self.shapes[0])}")
-        st = ForwardState(x, training, rng, with_decoders)
+        st = ForwardState(training, rng, with_decoders)
         cur = x
         for i, e in enumerate(self.spec.layers):
             cur = KINDS[e.kind].step(st, i, self.modules.get(i), layer_params(e), cur)
             st.layer_outputs[i] = cur
+        # the head reads the avgpool output that ends a spec without its linear
         if self.head is not None:
-            if st.features is None:
-                raise ValueError("DA head needs an avgpool stage")
-            h = T.relu(self.head[0](st.features))
-            st.logits = self.head[1](h)
+            st.logits = self.head[1](T.relu(self.head[0](cur)))
+        elif self.spec.layers[-1].kind == "linear":
+            st.logits = cur
         if with_decoders:
             if self.decoders is None:
                 raise ValueError("no decoders attached")

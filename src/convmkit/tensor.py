@@ -264,15 +264,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def dropout(a: Tensor, ratio: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: survivors are scaled by 1/(1-ratio), eval is identity."""
+    """Inverted dropout: survivors are scaled by 1/(1-ratio). In eval mode or
+    at ratio 0 it is the identity and returns ``a`` itself, with no tape node."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
     if not training or ratio == 0.0:
-        def bwd_id(g):
-            if a.requires_grad:
-                a._accumulate(g)
-
-        return _make(a.data.copy(), (a,), bwd_id)
+        return a
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
     keep = (rng.random(a.shape) >= ratio).astype(a.dtype)

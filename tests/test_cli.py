@@ -9,7 +9,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from convmkit import checkpoint, synth, tdf
+from convmkit import checkpoint, cli, synth, tdf
+from convmkit import tensor as T
 from convmkit.checkpoint import read_meta
 from convmkit.cli import _load_data, main
 from convmkit.config import RunConfig
@@ -312,6 +313,33 @@ class TestTrainEvalExport:
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert "Error: decoder1 needs a conv_m tap" in res.output
 
+    @pytest.mark.parametrize("mode,stem,message", [
+        ("source_only", {"out_channels": 4, "k": 3, "stride": 0},
+         "layer2: param 'stride' must be >= 1, got 0"),
+        ("da", {"out_channels": 4, "k": 3, "padding": 1}, "decoder1 needs a conv_m tap")])
+    def test_refused_spec_writes_nothing(self, runner, tmp_path, monkeypatch, mode,
+                                         stem, message):
+        monkeypatch.setattr(cli, "_load_data", self.no_data)
+        cfg = small_config(tmp_path, network=self.spec_file(tmp_path, stem), mode=mode)
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--out", str(tmp_path / "bad")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert message in res.output
+        assert not (tmp_path / "bad").exists()
+
+    def test_eval_checks_spec_before_loading_data(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_load_data", self.no_data)
+        spec = self.spec_file(tmp_path, {"out_channels": 4, "k": 3, "stride": 0})
+        cfg = small_config(tmp_path, network=spec)
+        res = runner.invoke(main, ["eval", "--config", str(cfg), "--checkpoint", str(cfg)])
+        assert res.exit_code == 1
+        assert "layer2: param 'stride' must be >= 1, got 0" in res.output
+
+    @staticmethod
+    def no_data(cfg):
+        raise AssertionError("data loaded before the spec was checked")
+
     def test_synthetic_and_written_data_share_stats(self, runner, tmp_path):
         cfg = RunConfig(synth=SynthParams(num_classes=3, per_class=4, size=16, seed=2))
         generated, gen_stats = _load_data(cfg)
@@ -347,6 +375,17 @@ class TestTrainEvalExport:
         written = sorted(p.name for p in (tmp_path / "feats").glob("*.tdf"))
         assert written == ["layer4_c3.tdf", "layer4_dec2.tdf",
                            "layer4_dic2.tdf"]
+        # each file is its branch of the module run on its normalised input
+        # (stem conv -> relu -> 3x3/2 maxpool)
+        model = cli._build_model(cli._load_config(str(cfg)))
+        meta = checkpoint.load(model, tmp_path / "run" / "checkpoint.zip")
+        x = T.Tensor(synth.normalize(tdf.read(img)[None], meta["stats"]))
+        with T.no_grad():
+            pooled, _ = T.maxpool2d_with_indices(T.relu(model.modules[1](x)), 3, 2)
+            _, taps = model.modules[3].forward_with_taps(pooled)
+        for bname, t in taps.items():
+            got = tdf.read(tmp_path / "feats" / f"layer4_{bname}.tdf")
+            assert got.dtype == t.data.dtype and got.tobytes() == t.data.tobytes()
 
     def test_export_unknown_layer(self, runner, tmp_path):
         cfg = small_config(tmp_path)

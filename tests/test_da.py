@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ce_reference import train_ce_reference
+from convmkit import da
 from convmkit import tensor as T
 from convmkit.da import (
     DAConfig,
     DADatasets,
+    DomainBatch,
     DomainSampler,
     SolverConfig,
     da_loss,
@@ -168,6 +170,119 @@ class TestDALoss:
         for name in touched:
             g = params[name].grad
             assert g is not None and np.any(g != 0), name
+
+
+class TestDALossFiniteDifference:
+    """The whole ``da_loss`` against finite differences of its value, on a
+    float64 tiny net with the head and both decoders, in training mode.
+
+    Every evaluation draws its dropout masks from a freshly seeded rng, and
+    each tap's bandwidth is held at its value at the unperturbed parameters:
+    the analytic gradient treats it as a constant. A probe whose two one-sided
+    differences disagree by more than ``TOL`` sits on a ReLU kink or a pool
+    tie; such probes are counted and left out.
+    """
+
+    EPS, TOL, PER_TENSOR = 1e-6, 1e-6, 3
+
+    @staticmethod
+    def net_and_batch(freeze=()):
+        rng = np.random.default_rng(3)
+        net = build_network(tiny_spec(num_classes=3, input_size=16), rng=rng,
+                            dtype=np.float64)
+        attach_da_heads(net, 3, rng=rng)
+        attach_decoders(net, rng=rng)
+        for name, p in net.parameters().items():
+            p.requires_grad = name.split(".", 1)[0] not in freeze
+        is_target = np.arange(6) >= 3
+        batch = DomainBatch(x=rng.standard_normal((6, 3, 16, 16)),
+                            labels=np.where(is_target, -1, rng.integers(0, 3, 6)),
+                            is_target=is_target)
+        return net, batch
+
+    def check(self, monkeypatch, cfg, freeze=()):
+        """(worst mismatch, probes compared); fails if more than 5% of the
+        probes are left out."""
+        net, batch = self.net_and_batch(freeze)
+        real, sigmas = da.median_bandwidth, []
+
+        def record(feats):
+            sigmas.append(real(feats))
+            return sigmas[-1]
+
+        monkeypatch.setattr(da, "median_bandwidth", record)
+        da_loss(net, batch, cfg, rng=np.random.default_rng(7))[0].backward()
+        if cfg.no_gmmd:
+            assert sigmas == []
+
+        def value():
+            held = iter(list(sigmas))
+            monkeypatch.setattr(da, "median_bandwidth", lambda f: next(held))
+            with T.no_grad():
+                total, _ = da_loss(net, batch, cfg, rng=np.random.default_rng(7))
+            return total.data.item()
+
+        def close(a, b):
+            return abs(a - b) <= self.TOL * max(1.0, abs(a), abs(b))
+
+        f0, eps = value(), self.EPS
+        rng = np.random.default_rng(11)
+        worst, compared, excluded = 0.0, 0, 0
+        for name, p in net.parameters().items():
+            if not p.requires_grad:
+                assert p.grad is None, name
+                continue
+            for j in rng.choice(p.size, size=min(self.PER_TENSOR, p.size), replace=False):
+                keep = p.data.flat[j]
+                p.data.flat[j] = keep + eps
+                fp = value()
+                p.data.flat[j] = keep - eps
+                fm = value()
+                p.data.flat[j] = keep
+                if not close((fp - f0) / eps, (f0 - fm) / eps):
+                    excluded += 1
+                    continue
+                analytic = 0.0 if p.grad is None else p.grad.flat[j]
+                numeric = (fp - fm) / (2 * eps)
+                worst = max(worst, abs(analytic - numeric) / max(1.0, abs(numeric)))
+                compared += 1
+        assert excluded <= 0.05 * (compared + excluded), (excluded, compared)
+        return worst, compared
+
+    @pytest.mark.parametrize("cfg,freeze", [
+        (DAConfig(), ()),
+        (DAConfig(no_gmmd=True), ()),
+        (DAConfig(no_recons=True), ()),
+        (DAConfig(), ("layer2", "layer4")),
+    ], ids=["full", "no_gmmd", "no_recons", "frozen"])
+    def test_gradient_matches_finite_differences(self, monkeypatch, cfg, freeze):
+        worst, compared = self.check(monkeypatch, cfg, freeze)
+        assert compared > 0
+        assert worst <= self.TOL, worst
+
+    def test_zeroed_unpool_input_gradient_is_caught(self, monkeypatch):
+        unpool = T.unpool2d
+
+        def broken(x, indices, size):
+            out = unpool(x, indices, size)
+            bwd = out._backward
+            out._backward = lambda g: bwd(np.zeros_like(g))
+            return out
+
+        monkeypatch.setattr(T, "unpool2d", broken)
+        worst, _ = self.check(monkeypatch, DAConfig())
+        assert worst > self.TOL
+
+    def test_flipped_mmd_source_gradient_is_caught(self, monkeypatch):
+        mmd = da.mmd_loss
+
+        def broken(fs, ft, sigma):
+            flipped = T._make(fs.data, (fs,), lambda g: fs._accumulate(-g))
+            return mmd(flipped, ft, sigma)
+
+        monkeypatch.setattr(da, "mmd_loss", broken)
+        worst, _ = self.check(monkeypatch, DAConfig(no_recons=True))
+        assert worst > self.TOL
 
 
 class TestDefaults:

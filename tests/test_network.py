@@ -108,6 +108,12 @@ class TestSpecFile:
          r"^layer2: unknown cfg key\(s\) \['foo'\]; valid keys are \['n_in', 'c1'"),
         ({"kind": "conv_m", "params": {"cfg": {"n_in": 3}}},
          r"^layer2: .*missing 9 required positional arguments"),
+        ({"kind": "conv", "params": {"out_channels": 4, "k": 1}, "bogus": 1},
+         r"^layer2: unknown layer key\(s\) \['bogus'\]; valid keys are \['kind', 'params'\]"),
+        ({"kind": "conv", "parms": {"out_channels": 4, "k": 1}},
+         r"^layer2: unknown layer key\(s\) \['parms'\]"),
+        ({"kind": "conv", "params": {"out_channels": 4, "k": 1}, "freeze": True},
+         r"^layer2: layer spec key 'freeze' is no longer supported"),
     ])
     def test_malformed_layer_names_it(self, layer, match):
         d = {"layers": [{"kind": "input", "params": {"channels": 3, "height": 8,
