@@ -40,16 +40,30 @@ def save(model: Network, path, *, step: int = 0, seed: int = 0,
             z.writestr(zipfile.ZipInfo(f"params/{name}.tdf"), tdf.dumps(params[name].data))
 
 
-def read_meta(path) -> dict:
-    with zipfile.ZipFile(path) as z:
+def _open(path) -> zipfile.ZipFile:
+    try:
+        return zipfile.ZipFile(path)
+    except zipfile.BadZipFile as exc:
+        raise CheckpointError(f"{path}: not a checkpoint archive ({exc})") from exc
+
+
+def _meta(z: zipfile.ZipFile, path) -> dict:
+    try:
         return json.loads(z.read("meta.json"))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: not a checkpoint archive (no meta.json)") from exc
+
+
+def read_meta(path) -> dict:
+    with _open(path) as z:
+        return _meta(z, path)
 
 
 def load(model: Network, path) -> dict:
     """Copy archived weights into ``model``; returns the metadata dict."""
     params = model.parameters()
-    with zipfile.ZipFile(path) as z:
-        meta = json.loads(z.read("meta.json"))
+    with _open(path) as z:
+        meta = _meta(z, path)
         if meta["spec_hash"] != model.spec.hash():
             raise CheckpointError(
                 f"spec hash mismatch: checkpoint {meta['spec_hash']}, "

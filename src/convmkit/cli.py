@@ -20,7 +20,7 @@ from . import tdf
 from . import tensor as T
 from .config import RunConfig, load_config, save_config
 from .da import (DAConfig, DADatasets, SolverConfig, evaluate as da_evaluate,
-                 metric_columns, mmd_taps, train_da)
+                 freeze_layers, metric_columns, mmd_taps, train_da)
 from .gradcheck import gradcheck, run_default_suite, _t
 from .network import (attach_da_heads, attach_decoders, build_network,
                       reference_spec, tiny_spec)
@@ -232,6 +232,7 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
         else:
             da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
         columns = metric_columns(len(mmd_taps(model, da_cfg)))
+        freeze_layers(model, da_cfg)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.yaml")

@@ -77,6 +77,14 @@ def default_freeze_set(net: Network) -> list[str]:
     return [net.spec.layer_name(i) for i in stem + net.spec.indices("conv_m")[:3]]
 
 
+def freeze_layers(model: Network, cfg: DAConfig) -> list[str]:
+    """Names of the frozen layers (default: stem conv + first three conv_m),
+    each checked against the spec."""
+    freeze = cfg.freeze_set if cfg.freeze_set is not None else default_freeze_set(model)
+    model.spec.layer_indices(freeze, "freeze_set")
+    return freeze
+
+
 def mmd_taps(model: Network, cfg: DAConfig) -> list[int]:
     """Spec indices of the MMD taps (default: last three conv_m outputs)."""
     taps = cfg.mmd_layers or default_mmd_layers(model)
@@ -232,8 +240,7 @@ def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
     """
     cfg.validate()
     n_taps = len(mmd_taps(model, cfg))
-    freeze = cfg.freeze_set if cfg.freeze_set is not None else default_freeze_set(model)
-    model.spec.layer_indices(freeze, "freeze_set")
+    freeze = freeze_layers(model, cfg)
     rng = np.random.default_rng(solver.seed)
     sampler = DomainSampler(datasets.source_x, datasets.source_y,
                             datasets.target_x, solver.batch_size, rng)

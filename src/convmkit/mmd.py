@@ -22,33 +22,40 @@ def gaussian_kernel(x, y, sigma: float) -> float:
     return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
 
 
-# Budget of the row blocks that pairwise_sq_dists and the mmd_loss backward
-# stream through: about half of a core's 2 MiB L2, and never less than one row.
+# Budget of the float64 blocks that pairwise_sq_dists and the mmd_loss
+# backward stream through: about half of a core's 2 MiB L2, and never less
+# than one row or column.
 _SCRATCH_BYTES = 1 << 20
 
 
-def _block_rows(x: np.ndarray) -> int:
-    """Rows of ``x`` per block: as many as fit ``_SCRATCH_BYTES``, at least one."""
-    return max(1, _SCRATCH_BYTES // max(1, x.shape[1] * x.itemsize))
+def _block_len(width: int) -> int:
+    """Float64 vectors of ``width`` per block: as many as fit
+    ``_SCRATCH_BYTES``, at least one."""
+    return max(1, _SCRATCH_BYTES // (max(1, width) * 8))
 
 
 def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``x``, [N, N].
+    """Squared Euclidean distances between the rows of ``x``, [N, N] float64.
 
     One contiguous row reduction of (x_j - x_i)**2 per unordered pair, then
     mirrored: an entry depends only on its pair, so the matrix is bitwise
-    symmetric with an exact zero diagonal. The rows j > i go through one
-    scratch buffer of about ``_SCRATCH_BYTES`` (at least one row) in blocks,
-    so the scratch is bounded, not O(N*D)."""
+    symmetric with an exact zero diagonal. The rows j > i are cast to
+    float64 as they are copied, in blocks, into one scratch buffer of about
+    ``_SCRATCH_BYTES`` (at least one row), so a float32 ``x`` is read as it
+    is and the scratch is bounded, not O(N*D). The cast is exact, so the
+    result has the same bits as on ``x.astype(np.float64)``; copying first
+    is faster than a mixed-dtype subtract."""
     n, dim = x.shape
     d = np.zeros((n, n))
-    rows = max(1, min(n - 1, _block_rows(x)))
-    scratch = np.empty((rows, dim), dtype=x.dtype)
+    rows = max(1, min(n - 1, _block_len(dim)))
+    scratch = np.empty((rows, dim))
     for i in range(n - 1):
+        xi = x[i].astype(np.float64, copy=False)
         for j0 in range(i + 1, n, rows):
             j1 = min(j0 + rows, n)
             b = scratch[:j1 - j0]
-            np.subtract(x[j0:j1], x[i], out=b)
+            b[...] = x[j0:j1]
+            b -= xi
             np.multiply(b, b, out=b)
             d[i, j0:j1] = b.sum(axis=1)
     return d + d.T
@@ -56,7 +63,7 @@ def pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
 
 def median_bandwidth(samples: np.ndarray) -> float:
     """Median Euclidean distance over all unordered sample pairs."""
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples)
     n = x.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 samples")
@@ -72,7 +79,8 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
 
     mean(Kss) + mean(Ktt) - 2 mean(Kst) with a Gaussian kernel of bandwidth
     ``sigma``, all three sliced from one kernel matrix over ``[s; t]``;
-    gradients flow into both feature sets (sigma is a constant).
+    gradients flow into both feature sets (sigma is a constant). The rows
+    stay in their own dtype; only bounded blocks of them are cast to float64.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -82,7 +90,7 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
     ns, nt = fs.shape[0], ft.shape[0]
     if ns < 1 or nt < 1:
         raise ValueError("both sample sets must be non-empty")
-    x = np.concatenate([fs.data, ft.data], dtype=np.float64)
+    x = np.concatenate([fs.data, ft.data])
     k = np.exp(-pairwise_sq_dists(x) * (1.0 / (2.0 * sigma * sigma)))
     # fsum is order-independent, making the estimator exactly symmetric
     # under a set swap and exactly zero on identical sets
@@ -94,23 +102,35 @@ def mmd_loss(feats_source: Tensor, feats_target: Tensor, sigma: float) -> Tensor
         g = float(np.asarray(g).reshape(()))
         # MMD^2 = w^T K w with w = +1/Ns on source rows, -1/Nt on target rows;
         # d/dx_a = (2/sigma^2) w_a sum_j w_j K[a,j] (x_j - x_a)
+        n = ns + nt
         w = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
-        # in place on the GEMM result, one row block at a time: the same
-        # elementwise ops on the same operands as the one-shot
-        # cw[:, None] * ((k * w) @ x - (k @ w)[:, None] * x), so the same
-        # bits, without its [N, D] temporaries
-        grad = (k * w) @ x
-        kw = k @ w
-        cw = (2.0 * g / (sigma * sigma)) * w
-        rows = _block_rows(x)
-        for a in range(0, ns + nt, rows):
-            blk = grad[a:a + rows]
-            blk -= kw[a:a + rows, None] * x[a:a + rows]
-            blk *= cw[a:a + rows, None]
-        if fs.requires_grad:
-            fs._accumulate(grad[:ns].astype(fs.dtype, copy=False))
-        if ft.requires_grad:
-            ft._accumulate(grad[ns:].astype(ft.dtype, copy=False))
+        kw_mat = k * w
+        kw = (k @ w)[:, None]
+        cw = ((2.0 * g / (sigma * sigma)) * w)[:, None]
+        # x goes through the GEMM one float64 column block at a time, in two
+        # buffers of the scratch budget, and each block is rounded into the
+        # sides' gradient rows in their dtype: column by column, the same ops
+        # on the same operands as the one-shot float64
+        # cw * ((k * w) @ x - kw * x) and its astype, so the same bits
+        # without a float64 [N, D] array. Both matmul operands stay float64,
+        # since a mixed-dtype matmul is much slower.
+        sides = [(t, np.empty_like(t.data), rows)
+                 for t, rows in ((fs, slice(0, ns)), (ft, slice(ns, n)))
+                 if t.requires_grad]
+        cols = _block_len(n)
+        blk_buf, acc_buf = np.empty(n * cols), np.empty(n * cols)
+        for c0 in range(0, x.shape[1], cols):
+            c1 = min(c0 + cols, x.shape[1])
+            blk = blk_buf[:n * (c1 - c0)].reshape(n, c1 - c0)
+            acc = acc_buf[:n * (c1 - c0)].reshape(n, c1 - c0)
+            blk[...] = x[:, c0:c1]
+            np.matmul(kw_mat, blk, out=acc)
+            acc -= np.multiply(kw, blk, out=blk)
+            acc *= cw
+            for _, grad, rows in sides:
+                grad[:, c0:c1] = acc[rows]
+        for t, grad, _ in sides:
+            t._accumulate(grad)
 
     return _make(np.asarray(value, dtype=fs.dtype).reshape(()), (fs, ft), bwd)
 

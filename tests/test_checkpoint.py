@@ -94,6 +94,18 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="hash|census"):
             checkpoint.load(other, p)
 
+    def test_not_an_archive(self, tmp_path):
+        text = tmp_path / "cfg.yaml"
+        text.write_text("network: tiny\n")
+        no_meta = tmp_path / "no_meta.zip"
+        with zipfile.ZipFile(no_meta, "w") as z:
+            z.writestr("params/x.tdf", b"")
+        for path in (text, no_meta):
+            with pytest.raises(CheckpointError, match="not a checkpoint archive"):
+                checkpoint.load(tiny_model(), path)
+            with pytest.raises(CheckpointError, match="not a checkpoint archive"):
+                checkpoint.read_meta(path)
+
     def test_truncated_tensor_names_the_parameter(self, tmp_path):
         a = tiny_model()
         p = tmp_path / "ck.zip"

@@ -328,6 +328,28 @@ class TestTrainEvalExport:
         assert message in res.output
         assert not (tmp_path / "bad").exists()
 
+    def test_unknown_freeze_set_writes_nothing(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_load_data", self.no_data)
+        cfg = small_config(tmp_path, da={"freeze_set": ["layer99"]})
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--out", str(tmp_path / "bad")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "freeze_set: unknown layer name(s) ['layer99']" in res.output
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--checkpoint"], ["train", "--resume"],
+        ["export-features", "--layer", "layer2", "--checkpoint"]])
+    def test_non_archive_checkpoint_is_a_click_error(self, runner, tmp_path, command):
+        cfg = small_config(tmp_path)
+        extra = (["--images", str(cfg), "--out", str(tmp_path / "feats")]
+                 if command[0] == "export-features" else [])
+        res = runner.invoke(main, [*command, str(cfg), "--config", str(cfg), *extra])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "not a checkpoint archive" in res.output
+
     def test_eval_checks_spec_before_loading_data(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_load_data", self.no_data)
         spec = self.spec_file(tmp_path, {"out_channels": 4, "k": 3, "stride": 0})

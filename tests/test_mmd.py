@@ -12,6 +12,9 @@ from convmkit.tensor import Tensor
 # in blocks of three rows, and of one row
 WIDE_BLOCKS = _SCRATCH_BYTES // (3 * 8)
 WIDE_ROWS = _SCRATCH_BYTES // 8 + 1
+# width at which the mmd_loss backward of 6 + 5 rows ends on a partial
+# float64 column block
+PARTIAL_COLS = 2 * (_SCRATCH_BYTES // (11 * 8)) + 5
 
 
 def test_kernel_self_is_one():
@@ -145,6 +148,14 @@ def test_pairwise_sq_dists_exact_symmetry_diagonal_and_permutation_in_blocks(dim
     check_symmetry_diagonal_and_permutation(dim)
 
 
+@pytest.mark.parametrize("dim", [WIDE_BLOCKS, WIDE_ROWS])
+def test_float32_rows_give_the_bits_of_their_float64_cast(dim):
+    x = np.random.default_rng(dim).standard_normal((7, dim)).astype(np.float32)
+    x64 = x.astype(np.float64)
+    assert pairwise_sq_dists(x).tobytes() == pairwise_sq_dists(x64).tobytes()
+    assert median_bandwidth(x) == median_bandwidth(x64)
+
+
 def test_mmd_float32_swap_symmetry_at_width():
     rng = np.random.default_rng(12)
     s = rng.standard_normal((5, 3000)).astype(np.float32)
@@ -206,6 +217,25 @@ def test_pairwise_sq_dists_scratch_is_bounded():
     assert peak < 2 * 2**20 + 2 * d.nbytes
 
 
+def test_float32_mmd_peak_memory_without_float64_copies():
+    # the float32 [s; t] concat, the gradient rows and the leaf gradients are
+    # three input-sized arrays; a float64 copy of the rows alone would be two
+    rng = np.random.default_rng(15)
+    s = Tensor(rng.standard_normal((8, 200_000), dtype=np.float32), requires_grad=True)
+    t = Tensor(rng.standard_normal((8, 200_000), dtype=np.float32) + 0.2,
+               requires_grad=True)
+    nbytes = s.data.nbytes + t.data.nbytes
+    tracemalloc.start()
+    try:
+        sigma = median_bandwidth(np.concatenate([s.data, t.data]))
+        mmd_loss(s, t, sigma).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.grad.dtype == np.float32 and t.grad.dtype == np.float32
+    assert peak < 3.5 * nbytes + 4 * 2**20
+
+
 def out_of_place_grads(s, t, sigma):
     """The MMD gradient as one out-of-place expression, at g = 1."""
     ns, nt = len(s), len(t)
@@ -217,7 +247,7 @@ def out_of_place_grads(s, t, sigma):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("d", [300, WIDE_BLOCKS, WIDE_ROWS])
+@pytest.mark.parametrize("d", [300, WIDE_BLOCKS, WIDE_ROWS, PARTIAL_COLS])
 def test_mmd_gradient_bitwise_equals_out_of_place(dtype, d):
     rng = np.random.default_rng(d)
     s = rng.standard_normal((6, d)).astype(dtype)
