@@ -247,8 +247,8 @@ def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
     for name, p in model.parameters().items():
         p.requires_grad = name.split(".", 1)[0] not in freeze
     trainable = {n: p for n, p in model.parameters().items() if p.requires_grad}
-    mults = {name: cfg.head_lr_multiplier for name in trainable
-             if name.startswith(("head.", "decoder"))}
+    mults = {name: cfg.head_lr_multiplier for part in model.parts()
+             for name in part.parameters() if name in trainable}
     opt = SGDMomentum(trainable, momentum=solver.momentum, lr_multipliers=mults)
     history = []
     for step in range(solver.max_steps):

@@ -166,7 +166,14 @@ def _maxpool_step(st, i, mod, p, x):
 def _linear_step(st, i, mod, p, x):
     if x.data.ndim > 2:  # a 1x1 map that no avgpool flattened
         x = T.flatten2d(x)
-    return mod(x)
+    return T.relu(mod(x)) if p["relu"] else mod(x)
+
+
+def _unpool_step(st, i, mod, p, x):
+    if p["pool"] not in st.pool_indices:
+        raise ValueError(f"unpool: pooling layer {NetworkSpec.layer_name(p['pool'])} "
+                         "has no recorded indices (run the encoder with decoders)")
+    return T.unpool2d(x, st.pool_indices[p["pool"]], (p["height"], p["width"]))
 
 
 _POOL = {"k": int, "stride": int}
@@ -177,9 +184,10 @@ KINDS: dict[str, Kind] = {
         shape=lambda p, s: (p["channels"], p["height"], p["width"]),
         step=lambda st, i, mod, p, x: x, takes=(None,)),
     "conv": Kind(
-        {"out_channels": int, "k": int, "stride": 1, "padding": 0, "groups": 1},
+        {"out_channels": int, "k": int, "stride": 1, "padding": 0, "groups": 1,
+         "relu": True},
         shape=_conv_shape,
-        step=lambda st, i, mod, p, x: T.relu(mod(x)),
+        step=lambda st, i, mod, p, x: T.relu(mod(x)) if p["relu"] else mod(x),
         count=lambda p, c_in: c_in // p["groups"] * p["out_channels"] * p["k"] ** 2,
         build=lambda p, c_in, rng, dtype: Conv2d(
             c_in, p["out_channels"], p["k"], stride=p["stride"], padding=p["padding"],
@@ -194,11 +202,15 @@ KINDS: dict[str, Kind] = {
         _POOL, shape=_pool_shape(lambda n, k, s: (n - k) // s + 1), flat=True,
         step=lambda st, i, mod, p, x: T.flatten2d(T.avgpool2d(x, p["k"], p["stride"]))),
     "linear": Kind(
-        {"out_features": int}, shape=_linear_shape, step=_linear_step,
+        {"out_features": int, "relu": False}, shape=_linear_shape, step=_linear_step,
         count=lambda p, c_in: c_in * p["out_features"],
         build=lambda p, c_in, rng, dtype: Linear(c_in, p["out_features"], rng=rng,
                                                  dtype=dtype),
         takes=("map", "flat"), flat=True),
+    # a decoder's unpool through the index map of the encoder's maxpool ``pool``
+    "unpool": Kind(
+        {"pool": int, "height": int, "width": int},
+        shape=lambda p, s: (s[0], p["height"], p["width"]), step=_unpool_step),
 }
 
 
@@ -217,7 +229,7 @@ def _check_params(e: LayerSpec, kind: Kind) -> None:
         typ = d if isinstance(d, type) else type(d)
         if v is typ:
             raise ValueError(f"{e.kind!r} needs param {key!r}")
-        if not isinstance(v, typ):
+        if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
             raise ValueError(f"param {key!r} must be of type {typ.__name__}, got {v!r}")
         low = 0 if d == 0 else 1  # a count or size is >= 1; padding (default 0) >= 0
         if typ is int and v < low:
@@ -355,66 +367,57 @@ class ForwardState:
         self.reconstructions: list[Tensor] = []
 
 
-class Network:
-    """A built model: encoder stack plus optional classifier / DA head /
-    reconstruction decoders."""
+class Built:
+    """A spec built in layer order (the init draw order) by its kinds'
+    ``build`` rules and run by their ``step`` rules: the encoder, the DA head
+    or one decoder. Layer ``i``'s parameters are ``<layer_name(i)>.<name>``."""
 
-    def __init__(self, spec: NetworkSpec, *, rng=None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
-        self.spec = spec
-        self.dtype = dtype
+    def __init__(self, spec: NetworkSpec, rng, dtype):
+        self.spec, self.dtype = spec, dtype
         self.shapes = propagate_shapes(spec)
-        self.modules: dict[int, object] = {}
-        self.head: list[Linear] | None = None
-        self.num_classes: int | None = None
-        self.decoders: list["Decoder"] | None = None
-        for i, e in enumerate(spec.layers[1:], start=1):
-            build = KINDS[e.kind].build
-            if build is not None:
-                self.modules[i] = build(layer_params(e), self.shapes[i - 1][0], rng, dtype)
+        self.modules: dict[int, object] = {
+            i: KINDS[e.kind].build(layer_params(e), self.shapes[i - 1][0], rng, dtype)
+            for i, e in enumerate(spec.layers) if KINDS[e.kind].build is not None}
 
-    # -- structure edits -----------------------------------------------------
-
-    @property
-    def feature_dim(self) -> int:
-        pools = self.spec.indices("avgpool")
-        if not pools:
-            raise ValueError("network has no avgpool stage")
-        return self.shapes[pools[0]][0]
-
-    def remove_classifier(self) -> None:
-        # only a linear takes a linear's output, so the linear layers end the
-        # spec and removing them moves no other layer's index
-        linears = self.spec.indices("linear")
-        for i in linears:
-            del self.modules[i]
-        self.spec = NetworkSpec(self.spec.layers[:len(self.spec.layers) - len(linears)])
-        self.shapes = propagate_shapes(self.spec)
-
-    # -- parameters ------------------------------------------------------------
+    def layer_name(self, i: int) -> str:
+        return self.spec.layer_name(i)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+        return {f"{self.layer_name(i)}.{pname}": t
+                for i, mod in self.modules.items() for pname, t in mod.parameters()}
+
+    def walk(self, st: ForwardState, x: Tensor, outputs: dict) -> Tensor:
+        """``x`` through every layer's step; ``outputs`` records each output."""
         for i, e in enumerate(self.spec.layers):
-            mod = self.modules.get(i)
-            if mod is None:
-                continue
-            base = self.spec.layer_name(i)
-            for pname, t in mod.parameters():
-                out[f"{base}.{pname}"] = t
-        if self.head is not None:
-            for j, lin in enumerate(self.head, start=1):
-                out[f"head.fc{j}.weight"] = lin.weight
-        if self.decoders is not None:
-            for d in self.decoders:
-                for pname, t in d.parameters():
-                    out[f"{d.name}.{pname}"] = t
+            x = outputs[i] = KINDS[e.kind].step(st, i, self.modules.get(i),
+                                                layer_params(e), x)
+        return x
+
+
+class Network(Built):
+    """A built model: the encoder, plus the parts attached to it (the DA head
+    and the reconstruction decoders)."""
+
+    def __init__(self, spec: NetworkSpec, *, rng=None, dtype=np.float32):
+        super().__init__(spec, rng or np.random.default_rng(0), dtype)
+        for i in spec.indices("unpool"):  # a pass without decoders records no index maps
+            raise ValueError(f"{spec.layer_name(i)}: 'unpool' is a decoder layer")
+        self.head: Part | None = None
+        self.num_classes: int | None = None
+        self.decoders: list[Decoder] | None = None
+
+    def parts(self) -> list["Part"]:
+        """The attached DA head and decoders, in parameter order."""
+        return [p for p in (self.head, *(self.decoders or ())) if p is not None]
+
+    def parameters(self) -> dict[str, Tensor]:
+        out = super().parameters()
+        for part in self.parts():
+            out.update(part.parameters())
         return out
 
     def param_census(self) -> int:
         return sum(int(p.size) for p in self.parameters().values())
-
-    # -- forward -------------------------------------------------------------
 
     def forward(self, x: Tensor, *, training=False, rng=None,
                 with_decoders=False) -> ForwardState:
@@ -422,13 +425,9 @@ class Network:
             raise ValueError(f"input batch has per-image shape {list(x.shape[1:])}, "
                              f"but the spec's input layer is {list(self.shapes[0])}")
         st = ForwardState(training, rng, with_decoders)
-        cur = x
-        for i, e in enumerate(self.spec.layers):
-            cur = KINDS[e.kind].step(st, i, self.modules.get(i), layer_params(e), cur)
-            st.layer_outputs[i] = cur
-        # the head reads the avgpool output that ends a spec without its linear
+        cur = self.walk(st, x, st.layer_outputs)
         if self.head is not None:
-            st.logits = self.head[1](T.relu(self.head[0](cur)))
+            st.logits = self.head.forward(st)
         elif self.spec.layers[-1].kind == "linear":
             st.logits = cur
         if with_decoders:
@@ -449,74 +448,87 @@ class Network:
 # ---------------------------------------------------------------------------
 
 
+class Part(Built):
+    """A small spec on the encoder: the DA head or one decoder. Its input
+    layer takes the output of encoder layer ``tap``; each layer after it comes
+    paired with the name its parameters take under ``name`` (None: no
+    weights)."""
+
+    def __init__(self, name: str, net: Network, tap: int, layers, *, rng):
+        self.name, self.tap = name, tap
+        self.names = [None] + [n for n, _ in layers]
+        shape = dict(zip(("channels", "height", "width"), net.shapes[tap]))
+        super().__init__(NetworkSpec([LayerSpec("input", shape), *(e for _, e in layers)]),
+                         rng, net.dtype)
+
+    def layer_name(self, i: int) -> str:
+        return f"{self.name}.{self.names[i]}"
+
+    def forward(self, st: ForwardState) -> Tensor:
+        return self.walk(st, st.layer_outputs[self.tap], {})
+
+
+class Decoder(Part):
+    """A reconstruction decoder; a class of its own so that a profile can
+    time the decoders apart from the head."""
+
+
 def attach_da_heads(net: Network, num_classes: int, *, rng=None,
                     hidden: int = 256) -> Network:
     """Replace the classification linear with a two-layer prediction head
-    (feature_dim -> hidden -> num_classes); new layers train at 10x LR."""
+    (features -> hidden -> num_classes) on the avgpool output; new layers
+    train at 10x LR."""
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
-    rng = rng or np.random.default_rng(0)
-    net.remove_classifier()
-    net.head = [Linear(net.feature_dim, hidden, rng=rng, dtype=net.dtype),
-                Linear(hidden, num_classes, rng=rng, dtype=net.dtype)]
+    # only a linear takes a linear's output, so the linear layers end the
+    # spec and removing them moves no other layer's index
+    linears = net.spec.indices("linear")
+    for i in linears:
+        del net.modules[i]
+    net.spec = NetworkSpec(net.spec.layers[:len(net.spec.layers) - len(linears)])
+    net.shapes = propagate_shapes(net.spec)
+    if net.spec.layers[-1].kind != "avgpool":
+        raise ValueError("network has no avgpool stage")
+    net.head = Part("head", net, len(net.spec.layers) - 1, [
+        ("fc1", LayerSpec("linear", {"out_features": hidden, "relu": True})),
+        ("fc2", LayerSpec("linear", {"out_features": num_classes}))],
+        rng=rng or np.random.default_rng(0))
     net.num_classes = num_classes
     return net
 
 
-class Decoder:
-    """Alternating unpool / 3x3 conv chain restoring the input resolution.
-
-    Each unpool reuses the index map of one encoder pooling layer, walking the
-    pooling chain backwards from the tap, and restores the size that pooling
-    layer consumed; per-stage conv widths are forced to the channel count it
-    consumed. Both come from the shape table ``shapes``. The stage after the
-    last unpool halves the width (floor, minimum 16) before a 1x1 conv back
-    to the input channel count.
-    """
-
-    def __init__(self, name, tap_layer, pool_chain, shapes, *, rng, dtype=np.float32):
-        self.name = name
-        self.tap_layer = tap_layer
-        self.pool_chain = list(pool_chain)  # encoder pool indices, deepest first
-        pooled = [shapes[i - 1] for i in self.pool_chain]  # (C, H, W) each pool consumed
-        self.unpool_hw = [(h, w) for _, h, w in pooled]
-        widths = [c for c, _, _ in pooled]
-        widths.append(max(widths[-1] // 2, 16))
-        kw = dict(rng=rng, dtype=dtype)
-        tap_channels = shapes[tap_layer][0]
-        self.proj = None
-        if tap_channels != widths[0]:
-            self.proj = Conv2d(tap_channels, widths[0], 1, **kw)
-        self.convs = [(f"stage{si + 1}", Conv2d(cin, cout, 3, padding=1, **kw))
-                      for si, (cin, cout) in enumerate(zip(widths, widths[1:]))]
-        self.final = Conv2d(widths[-1], shapes[0][0], 1, **kw)
-
-    def parameters(self):
-        out = []
-        if self.proj is not None:
-            out.append(("proj.weight", self.proj.weight))
-        for sname, conv in self.convs:
-            out.append((f"{sname}.weight", conv.weight))
-        out.append(("final.weight", self.final.weight))
-        return out
-
-    def forward(self, st: ForwardState) -> Tensor:
-        cur = st.layer_outputs[self.tap_layer]
-        if self.proj is not None:
-            cur = T.relu(self.proj(cur))
-        for (_, conv), pool_i, hw in zip(self.convs, self.pool_chain, self.unpool_hw):
-            if pool_i not in st.pool_indices:
-                raise ValueError(f"{self.name}: pooling layer {pool_i} has no "
-                                 "recorded indices (run the encoder first)")
-            cur = T.unpool2d(cur, st.pool_indices[pool_i], hw)
-            cur = T.relu(conv(cur))
-        return self.final(cur)
+def _decoder(name: str, net: Network, tap: int, chain: list[int], rng) -> Decoder:
+    """Unpool / 3x3 conv stages from encoder layer ``tap`` through the pooling
+    layers ``chain`` (deepest first): each unpool takes its pooling layer's
+    output size and restores the size and width that layer consumed. A 1x1
+    ``proj`` leads if the tap's width differs; the last stage halves the width
+    (floor, minimum 16) before a 1x1 ``final`` conv, with no ReLU."""
+    shapes, layer_name = net.shapes, net.spec.layer_name
+    widths = [shapes[i - 1][0] for i in chain]
+    widths.append(max(widths[-1] // 2, 16))
+    layers = []
+    if shapes[tap][0] != widths[0]:
+        layers.append(("proj", LayerSpec("conv", {"out_channels": widths[0], "k": 1})))
+    size = shapes[tap][1:]
+    for si, pool in enumerate(chain):
+        if size != shapes[pool][1:]:
+            raise ValueError(f"{name} (tap {layer_name(tap)}): its {size} map cannot unpool "
+                             f"through pooling layer {layer_name(pool)}, whose output "
+                             f"is {shapes[pool][1:]}")
+        _, h, w = shapes[pool - 1]
+        size = (h, w)
+        layers += [(None, LayerSpec("unpool", {"pool": pool, "height": h, "width": w})),
+                   (f"stage{si + 1}", LayerSpec("conv", {"out_channels": widths[si + 1],
+                                                         "k": 3, "padding": 1}))]
+    layers.append(("final", LayerSpec("conv", {"out_channels": shapes[0][0], "k": 1,
+                                               "relu": False})))
+    return Decoder(name, net, tap, layers, rng=rng)
 
 
 def attach_decoders(net: Network, *, rng=None) -> Network:
     """Attach the two reconstruction decoders: D1 taps the deepest module
-    output and unpools through every pooling layer; D2 taps the stage before
-    the last pooling layer and unpools through the remaining chain."""
+    output and unpools through every pooling layer; D2 taps the output that
+    feeds the last pooling layer and unpools through the remaining chain."""
     rng = rng or np.random.default_rng(0)
     pools = net.spec.indices("maxpool")
     if len(pools) < 2:
@@ -525,14 +537,9 @@ def attach_decoders(net: Network, *, rng=None) -> Network:
     if not modules:
         raise ValueError(f"{DECODER_NAMES[0]} needs a conv_m tap, and the spec has "
                          "no conv_m layer")
-    d1_tap = modules[-1]
-    d2_tap = pools[-1] - 1  # output feeding the last pooling layer
     d1, d2 = DECODER_NAMES
-    net.decoders = [
-        Decoder(d1, d1_tap, list(reversed(pools)), net.shapes, rng=rng, dtype=net.dtype),
-        Decoder(d2, d2_tap, list(reversed(pools[:-1])), net.shapes, rng=rng,
-                dtype=net.dtype),
-    ]
+    net.decoders = [_decoder(d1, net, modules[-1], pools[::-1], rng),
+                    _decoder(d2, net, pools[-1] - 1, pools[-2::-1], rng)]
     return net
 
 

@@ -16,7 +16,8 @@ from convmkit.cli import _load_data, main
 from convmkit.config import RunConfig
 from convmkit.synth import SynthParams
 from convmkit.audit import count_network
-from convmkit.network import Network, reference_spec, tiny_spec
+from convmkit.layers import ConvMConfig
+from convmkit.network import LayerSpec, Network, NetworkSpec, reference_spec, tiny_spec
 
 
 @pytest.fixture
@@ -102,6 +103,8 @@ class TestAudit:
          "layer2: param 'stride' must be >= 1, got 0"),
         ({"kind": "conv", "params": {"out_channels": 2, "k": 1, "dilation": 2}},
          "layer2: unknown param(s) ['dilation'] for 'conv'"),
+        ({"kind": "conv", "params": {"out_channels": 2, "k": True}},
+         "layer2: param 'k' must be of type int, got True"),
     ])
     def test_spec_file_error_is_a_clean_error(self, runner, tmp_path, layer, message):
         sp = tmp_path / "spec.yaml"
@@ -326,6 +329,31 @@ class TestTrainEvalExport:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert message in res.output
+        assert not (tmp_path / "bad").exists()
+
+    def test_decoder_tap_before_its_pool_writes_nothing(self, runner, tmp_path, monkeypatch):
+        # decoder1 taps the conv_m (layer4, 8x8) but would unpool through
+        # the maxpool after it (layer5, 4x4)
+        monkeypatch.setattr(cli, "_load_data", self.no_data)
+        cfg_m = ConvMConfig(n_in=4, c1=4, c2=4, c3=4, c4=4, dic1=4, dic2=4, c5=4,
+                            dec1=4, dec2=4, groups=2)
+        spec = NetworkSpec([
+            LayerSpec("input", {"channels": 3, "height": 16, "width": 16}),
+            LayerSpec("conv", {"out_channels": 4, "k": 3, "padding": 1}),
+            LayerSpec("maxpool", {"k": 2, "stride": 2}), LayerSpec("conv_m", {"cfg": cfg_m}),
+            LayerSpec("maxpool", {"k": 2, "stride": 2}),
+            LayerSpec("conv", {"out_channels": 4, "k": 1}),
+            LayerSpec("avgpool", {"k": 4, "stride": 1}),
+            LayerSpec("linear", {"out_features": 4})])
+        sp = tmp_path / "spec.yaml"
+        sp.write_text(yaml.safe_dump(spec.to_dict()))
+        cfg = small_config(tmp_path, network=str(sp), mode="da", input_size=16)
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--out", str(tmp_path / "bad")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert ("Error: decoder1 (tap layer4): its (8, 8) map cannot unpool through "
+                "pooling layer layer5, whose output is (4, 4)") in res.output
         assert not (tmp_path / "bad").exists()
 
     def test_unknown_freeze_set_writes_nothing(self, runner, tmp_path, monkeypatch):

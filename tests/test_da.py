@@ -371,6 +371,23 @@ class TestTrainingLoops:
         assert all(np.isfinite(r[3]) for r in hist)
         assert hist[0][1] == pytest.approx(0.0009)  # poly LR at step 0
 
+    def test_lr_multiplier_reaches_head_and_decoders(self):
+        # at multiplier 0 every parameter of the attached parts keeps its
+        # bits although it gets a gradient, and the encoder moves
+        model = tiny_model(seed=4, with_decoders=True)
+        params = model.parameters()  # train_da strips the decoders afterwards
+        before = {n: p.data.copy() for n, p in params.items()}
+        solver = SolverConfig(max_steps=1, batch_size=8, seed=6)
+        cfg = DAConfig(freeze_set=[], head_lr_multiplier=0.0)
+        train_da(model, self.make_sets(), cfg, solver)
+        parts = [n for n in params if n.startswith(("head.", "decoder"))]
+        assert len(parts) == 2 + 9  # fc1, fc2; D1 proj + 3 stages + final, D2 3 + final
+        for name in parts:
+            assert np.any(params[name].grad), name
+            assert params[name].data.tobytes() == before[name].tobytes(), name
+        for name in set(params) - set(parts):
+            assert params[name].data.tobytes() != before[name].tobytes(), name
+
     def test_decoders_stripped_after_training(self):
         model = tiny_model(seed=4, with_decoders=True)
         solver = SolverConfig(max_steps=1, batch_size=8, seed=6)
