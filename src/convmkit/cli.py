@@ -82,9 +82,9 @@ def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
 
 @main.command("gradcheck")
 @click.option("--op", default=None, help="single op to check (e.g. conv2d)")
-@click.option("--dilation", default=1, type=int)
-@click.option("--groups", default=1, type=int)
-@click.option("--stride", default=1, type=int)
+@click.option("--dilation", default=1, type=click.IntRange(min=1))
+@click.option("--groups", default=1, type=click.IntRange(min=1))
+@click.option("--stride", default=1, type=click.IntRange(min=1))
 @click.option("--eps", default=1e-4, type=float)
 @click.option("--tol", default=1e-4, type=float)
 @click.option("--seed", default=1234, type=int)

@@ -1,8 +1,9 @@
-"""Layer modules: thin parameter holders over the functional ops.
+"""The three-branch module, its channel-plan config and its weight counts.
 
-A module owns its weight tensors and exposes ``parameters()`` as
+``ConvM`` owns its weight tensors and exposes ``parameters()`` as
 (name, Tensor) pairs; forward passes are explicit method calls so the
-training loop controls dropout RNG and train/eval mode.
+training loop controls dropout RNG and train/eval mode. A ``conv`` or
+``linear`` layer is just its weight tensor (``network.KINDS``).
 """
 
 from __future__ import annotations
@@ -15,51 +16,19 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _he_weight(shape, fan_in, rng, dtype):
+def he_weight(shape, fan_in, rng, dtype):
+    """A trainable weight of ``shape`` drawn from N(0, 2 / fan_in)."""
     std = np.sqrt(2.0 / fan_in)
     return Tensor(rng.standard_normal(shape) * std, requires_grad=True, dtype=dtype)
 
 
-class Conv2d:
-    def __init__(self, cin, cout, k, stride=1, padding=0, dilation=1, groups=1,
-                 *, rng, dtype=np.float32):
-        if cin % groups or cout % groups:
-            raise ValueError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
-        self.stride, self.padding, self.dilation, self.groups = stride, padding, dilation, groups
-        self.weight = _he_weight((cout, cin // groups, k, k), (cin // groups) * k * k, rng, dtype)
-
-    def parameters(self):
-        return [("weight", self.weight)]
-
-    def __call__(self, x):
-        return T.conv2d(x, self.weight, self.stride, self.padding, self.dilation, self.groups)
-
-
-class ConvTranspose2dCropped:
-    """Stride-1 transposed convolution center-cropped back to the input size."""
-
-    def __init__(self, cin, cout, k, groups=1, *, rng, dtype=np.float32):
-        if cin % groups or cout % groups:
-            raise ValueError(f"channels ({cin}->{cout}) not divisible by groups={groups}")
-        self.groups = groups
-        self.weight = _he_weight((cin, cout // groups, k, k), (cin // groups) * k * k, rng, dtype)
-
-    def parameters(self):
-        return [("weight", self.weight)]
-
-    def __call__(self, x):
-        return T.conv2d_transpose_cropped(x, self.weight, groups=self.groups)
-
-
-class Linear:
-    def __init__(self, din, dout, *, rng, dtype=np.float32):
-        self.weight = _he_weight((din, dout), din, rng, dtype)
-
-    def parameters(self):
-        return [("weight", self.weight)]
-
-    def __call__(self, x):
-        return T.linear(x, self.weight)
+def check_number(what: str, v, typ: type, low: int | None = 1) -> None:
+    """The type and range rule of a spec value: an ``int`` refuses a bool (and
+    a float) and must be >= ``low`` (None: any); a ValueError names ``what``."""
+    if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
+        raise ValueError(f"{what} must be of type {typ.__name__}, got {v!r}")
+    if typ is int and low is not None and v < low:
+        raise ValueError(f"{what} must be >= {low}, got {v}")
 
 
 # The three branches of the module: regular, dilated (at ``dilations``) and
@@ -96,17 +65,22 @@ class ConvMConfig:
 
     def validate(self) -> None:
         channels = [name for branch in BRANCHES for name in branch]
-        for name in ("n_in", *channels):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ConvMConfig.{name} must be positive")
+        for name in ("n_in", *channels, "groups"):
+            check_number(f"ConvMConfig.{name}", getattr(self, name), int)
+        rates = self.dilations
+        if not isinstance(rates, (tuple, list)) or len(rates) != 2:
+            raise ValueError(f"ConvMConfig.dilations must be two ints, got {rates!r}")
+        for d in rates:
+            check_number("ConvMConfig.dilations", d, int)
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
+            raise ValueError(f"ConvMConfig.dropout must be a number, got {self.dropout!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         for name in channels:
             if getattr(self, name) % self.groups:
                 raise ValueError(
                     f"{name}={getattr(self, name)} not divisible by groups={self.groups}")
-        if any(d < 1 for d in self.dilations):
-            raise ValueError("dilation rates must be >= 1")
+        check_number("ConvMConfig.k", self.k, int, low=None)
         if self.k < 1 or self.k % 2 == 0:
             # the "same" pad d*(k-1)//2 keeps the spatial size only for odd k
             raise ValueError(f"ConvMConfig.k={self.k} must be a positive odd integer")
@@ -170,43 +144,44 @@ def dilation_rate_for(d: int, k: int = 3) -> int:
 
 class ConvM:
     """Three parallel branches (``BRANCHES``) concatenated along channels;
-    spatial size is preserved end to end."""
+    spatial size is preserved end to end. ``weights`` holds one weight per
+    ``BRANCHES`` name; each conv's padding, dilation and groups come from
+    ``cfg``."""
 
     def __init__(self, cfg: ConvMConfig, *, rng, dtype=np.float32):
         cfg.validate()
         self.cfg = cfg
         k, g = cfg.k, cfg.groups
-        kw = dict(rng=rng, dtype=dtype)
-        _, dilated, transposed = BRANCHES
+        self.weights: dict[str, Tensor] = {}
         for branch in BRANCHES:
             proj, *convs = branch
             cin = getattr(cfg, proj)
-            setattr(self, proj, Conv2d(cfg.n_in, cin, 1, **kw))
-            rates = cfg.dilations if branch is dilated else (1, 1)
-            for name, d in zip(convs, rates):
+            self.weights[proj] = he_weight((cin, cfg.n_in, 1, 1), cfg.n_in, rng, dtype)
+            for name in convs:
                 cout = getattr(cfg, name)
-                if branch is transposed:
-                    conv = ConvTranspose2dCropped(cin, cout, k, groups=g, **kw)
-                else:
-                    conv = Conv2d(cin, cout, k, padding=d * (k - 1) // 2,
-                                  dilation=d, groups=g, **kw)
-                setattr(self, name, conv)
+                # a transposed conv's weight is [Cin, Cout/g, k, k]
+                shape = (cin, cout // g) if branch is BRANCHES[2] else (cout, cin // g)
+                self.weights[name] = he_weight((*shape, k, k), cin // g * k * k, rng, dtype)
                 cin = cout
 
     def parameters(self):
-        return [(f"{sub}.{pname}", p) for branch in BRANCHES for sub in branch
-                for pname, p in getattr(self, sub).parameters()]
+        return [(f"{name}.weight", w) for name, w in self.weights.items()]
 
     def __call__(self, x, *, training=False, rng=None):
         out, _ = self.forward_with_taps(x, training=training, rng=rng)
         return out
 
     def forward_with_taps(self, x, *, training=False, rng=None):
+        cfg, w, g = self.cfg, self.weights, self.cfg.groups
+        _, dilated, transposed = BRANCHES
         outs, taps = [], {}
         for branch in BRANCHES:
-            y = x
-            for sub in branch:
-                y = T.relu(getattr(self, sub)(y))
+            proj, *convs = branch
+            y = T.relu(T.conv2d(x, w[proj]))
+            rates = cfg.dilations if branch is dilated else (1, 1)
+            for name, d in zip(convs, rates):
+                y = T.relu(T.conv2d_transpose_cropped(y, w[name], groups=g) if branch is transposed
+                           else T.conv2d(y, w[name], 1, d * (cfg.k - 1) // 2, d, g))
             taps[branch[-1]] = y
-            outs.append(T.dropout(y, self.cfg.dropout, training, rng))
+            outs.append(T.dropout(y, cfg.dropout, training, rng))
         return T.concat(outs, axis=1), taps

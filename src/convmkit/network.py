@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .layers import BRANCHES, Conv2d, ConvM, ConvMConfig, Linear, count_conv_m
+from .layers import BRANCHES, ConvM, ConvMConfig, check_number, count_conv_m, he_weight
 from .tensor import Tensor
 
 DECODER_NAMES = ("decoder1", "decoder2")  # built by attach_decoders
@@ -111,7 +111,7 @@ class Kind:
     shape: Callable  # (p, (c, h, w)) -> output shape; ValueError if it cannot take it
     step: Callable   # (st, i, module, p, x) -> y; only maxpool writes to ``st``
     count: Callable | None = None  # (p, c_in) -> weights, allocating nothing
-    build: Callable | None = None  # (p, c_in, rng, dtype) -> module
+    build: Callable | None = None  # (p, c_in, rng, dtype) -> weight Tensor or ConvM
     # input forms it takes: None (it opens the spec), "map" ([N, C, H, W]) or
     # "flat" ([N, C]); a ``flat`` kind's output is flat, (C*H*W, 1, 1) in the table
     takes: tuple = ("map",)
@@ -121,8 +121,7 @@ class Kind:
 def _conv_shape(p, s):
     c, h, w = s
     k, stride, pad, g = p["k"], p["stride"], p["padding"], p["groups"]
-    h = (h + 2 * pad - k) // stride + 1
-    w = (w + 2 * pad - k) // stride + 1
+    h, w = (T._conv_out_size(n, k, stride, pad, 1) for n in (h, w))
     if h < 1 or w < 1:
         raise ValueError("conv output collapsed to zero size")
     if c % g or p["out_channels"] % g:
@@ -163,10 +162,14 @@ def _maxpool_step(st, i, mod, p, x):
     return y
 
 
-def _linear_step(st, i, mod, p, x):
+def _relu_if(p, y):
+    return T.relu(y) if p["relu"] else y
+
+
+def _linear_step(st, i, w, p, x):
     if x.data.ndim > 2:  # a 1x1 map that no avgpool flattened
         x = T.flatten2d(x)
-    return T.relu(mod(x)) if p["relu"] else mod(x)
+    return _relu_if(p, T.linear(x, w))
 
 
 def _unpool_step(st, i, mod, p, x):
@@ -187,11 +190,12 @@ KINDS: dict[str, Kind] = {
         {"out_channels": int, "k": int, "stride": 1, "padding": 0, "groups": 1,
          "relu": True},
         shape=_conv_shape,
-        step=lambda st, i, mod, p, x: T.relu(mod(x)) if p["relu"] else mod(x),
+        step=lambda st, i, w, p, x: _relu_if(
+            p, T.conv2d(x, w, p["stride"], p["padding"], 1, p["groups"])),
         count=lambda p, c_in: c_in // p["groups"] * p["out_channels"] * p["k"] ** 2,
-        build=lambda p, c_in, rng, dtype: Conv2d(
-            c_in, p["out_channels"], p["k"], stride=p["stride"], padding=p["padding"],
-            groups=p["groups"], rng=rng, dtype=dtype)),
+        build=lambda p, c_in, rng, dtype: he_weight(
+            (p["out_channels"], c_in // p["groups"], p["k"], p["k"]),
+            c_in // p["groups"] * p["k"] ** 2, rng, dtype)),
     "maxpool": Kind(_POOL, shape=_pool_shape(T._ceil_pool_size), step=_maxpool_step),
     "conv_m": Kind(
         {"cfg": ConvMConfig}, shape=_conv_m_shape,
@@ -199,13 +203,13 @@ KINDS: dict[str, Kind] = {
         count=lambda p, c_in: count_conv_m(p["cfg"]),
         build=lambda p, c_in, rng, dtype: ConvM(p["cfg"], rng=rng, dtype=dtype)),
     "avgpool": Kind(
-        _POOL, shape=_pool_shape(lambda n, k, s: (n - k) // s + 1), flat=True,
+        _POOL, shape=_pool_shape(lambda n, k, s: T._conv_out_size(n, k, s, 0, 1)), flat=True,
         step=lambda st, i, mod, p, x: T.flatten2d(T.avgpool2d(x, p["k"], p["stride"]))),
     "linear": Kind(
         {"out_features": int, "relu": False}, shape=_linear_shape, step=_linear_step,
         count=lambda p, c_in: c_in * p["out_features"],
-        build=lambda p, c_in, rng, dtype: Linear(c_in, p["out_features"], rng=rng,
-                                                 dtype=dtype),
+        build=lambda p, c_in, rng, dtype: he_weight((c_in, p["out_features"]), c_in,
+                                                    rng, dtype),
         takes=("map", "flat"), flat=True),
     # a decoder's unpool through the index map of the encoder's maxpool ``pool``
     "unpool": Kind(
@@ -229,11 +233,7 @@ def _check_params(e: LayerSpec, kind: Kind) -> None:
         typ = d if isinstance(d, type) else type(d)
         if v is typ:
             raise ValueError(f"{e.kind!r} needs param {key!r}")
-        if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
-            raise ValueError(f"param {key!r} must be of type {typ.__name__}, got {v!r}")
-        low = 0 if d == 0 else 1  # a count or size is >= 1; padding (default 0) >= 0
-        if typ is int and v < low:
-            raise ValueError(f"param {key!r} must be >= {low}, got {v}")
+        check_number(f"param {key!r}", v, typ, low=0 if d == 0 else 1)  # padding >= 0
 
 
 def propagate_shapes(spec: NetworkSpec) -> list[tuple[int, int, int]]:
@@ -375,7 +375,7 @@ class Built:
     def __init__(self, spec: NetworkSpec, rng, dtype):
         self.spec, self.dtype = spec, dtype
         self.shapes = propagate_shapes(spec)
-        self.modules: dict[int, object] = {
+        self.modules: dict[int, Tensor | ConvM] = {
             i: KINDS[e.kind].build(layer_params(e), self.shapes[i - 1][0], rng, dtype)
             for i, e in enumerate(spec.layers) if KINDS[e.kind].build is not None}
 
@@ -383,8 +383,10 @@ class Built:
         return self.spec.layer_name(i)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.layer_name(i)}.{pname}": t
-                for i, mod in self.modules.items() for pname, t in mod.parameters()}
+        # a conv or linear layer is its bare weight; a conv_m names its own
+        return {f"{self.layer_name(i)}.{pname}": t for i, mod in self.modules.items()
+                for pname, t in (mod.parameters() if isinstance(mod, ConvM)
+                                 else [("weight", mod)])}
 
     def walk(self, st: ForwardState, x: Tensor, outputs: dict) -> Tensor:
         """``x`` through every layer's step; ``outputs`` records each output."""

@@ -342,6 +342,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
     cout, cin_g, k, k2 = w.shape
     if k != k2:
         raise ValueError("conv2d: only square kernels are supported")
+    if stride < 1:
+        raise ValueError("conv2d: stride must be >= 1")
     if dilation < 1:
         raise ValueError("conv2d: dilation must be >= 1")
     if cin % groups or cout % groups:

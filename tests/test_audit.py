@@ -3,7 +3,7 @@ import pytest
 
 from convmkit import audit as A
 from convmkit import tensor as T
-from convmkit.layers import ConvMConfig
+from convmkit.layers import ConvM, ConvMConfig
 from convmkit.network import (LayerSpec, NetworkSpec, build_network,
                               propagate_shapes, reference_spec,
                               regular_conv_spec, tiny_spec)
@@ -182,12 +182,37 @@ class TestFormulaVsAllocation:
 
 
 class TestRegularConvAblation:
+    @pytest.mark.parametrize("dilations", [(2, 3), (1, 1)], ids=["default", "ablated"])
+    def test_taps_are_the_explicit_op_chain(self, dilations):
+        # each branch is a 1x1 projection then two grouped 3x3 convs, with the
+        # dilated branch at ``dilations``, a ReLU after every conv
+        cfg = ConvMConfig(n_in=8, c1=8, c2=8, c3=8, c4=8, dic1=8, dic2=8,
+                          c5=4, dec1=4, dec2=4, dilations=dilations)
+        m = ConvM(cfg, rng=np.random.default_rng(0))
+        x = T.Tensor(np.random.default_rng(1).standard_normal((2, 8, 9, 9))
+                     .astype(np.float32))
+        _, taps = m.forward_with_taps(x)
+        w, g = m.weights, cfg.groups
+        d1, d2 = dilations
+        y = T.relu(T.conv2d(x, w["c1"]))
+        y = T.relu(T.conv2d(y, w["c2"], padding=1, groups=g))
+        want = {"c3": T.relu(T.conv2d(y, w["c3"], padding=1, groups=g))}
+        y = T.relu(T.conv2d(x, w["c4"]))
+        y = T.relu(T.conv2d(y, w["dic1"], padding=d1, dilation=d1, groups=g))
+        want["dic2"] = T.relu(T.conv2d(y, w["dic2"], padding=d2, dilation=d2, groups=g))
+        y = T.relu(T.conv2d(x, w["c5"]))
+        y = T.relu(T.conv2d_transpose_cropped(y, w["dec1"], groups=g))
+        want["dec2"] = T.relu(T.conv2d_transpose_cropped(y, w["dec2"], groups=g))
+        assert list(taps) == list(want)
+        for name, t in want.items():
+            assert taps[name].data.tobytes() == t.data.tobytes(), name
+
     def test_ablated_network_runs_with_unchanged_census(self):
         base = tiny_spec()
         ablated = regular_conv_spec(base)
         net = build_network(ablated, rng=np.random.default_rng(0))
         for i in ablated.indices("conv_m"):
-            assert net.modules[i].dic1.dilation == net.modules[i].dic2.dilation == 1
+            assert ablated.layers[i].params["cfg"].dilations == (1, 1)
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
         st = net.forward(T.Tensor(x))
         assert st.logits.shape == (2, 10)

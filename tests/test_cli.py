@@ -152,6 +152,13 @@ class TestGradcheck:
         res = runner.invoke(main, ["gradcheck", "--op", "frobnicate"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
+    @pytest.mark.parametrize("option", ["--stride", "--groups", "--dilation"])
+    def test_zero_conv_option_is_a_usage_error(self, runner, op, option):
+        res = runner.invoke(main, ["gradcheck", "--op", op, option, "0"])
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for '{option}'" in res.output
+
 
 class TestMakeSynth:
     def test_counts_and_manifest(self, runner, tmp_path):
@@ -431,7 +438,8 @@ class TestTrainEvalExport:
         meta = checkpoint.load(model, tmp_path / "run" / "checkpoint.zip")
         x = T.Tensor(synth.normalize(tdf.read(img)[None], meta["stats"]))
         with T.no_grad():
-            pooled, _ = T.maxpool2d_with_indices(T.relu(model.modules[1](x)), 3, 2)
+            stem = T.conv2d(x, model.parameters()["layer2.weight"], padding=3)
+            pooled, _ = T.maxpool2d_with_indices(T.relu(stem), 3, 2)
             _, taps = model.modules[3].forward_with_taps(pooled)
         for bname, t in taps.items():
             got = tdf.read(tmp_path / "feats" / f"layer4_{bname}.tdf")

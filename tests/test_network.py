@@ -159,6 +159,29 @@ class TestSpecFile:
         with pytest.raises(ValueError, match=match):
             NetworkSpec.from_dict(d)
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("c1", 4.0, "ConvMConfig.c1 must be of type int, got 4.0"),
+        ("k", 3.0, "ConvMConfig.k must be of type int, got 3.0"),
+        ("groups", 4.0, "ConvMConfig.groups must be of type int, got 4.0"),
+        ("c1", True, "ConvMConfig.c1 must be of type int, got True"),
+        ("dilations", [2.0, 3], "ConvMConfig.dilations must be of type int, got 2.0"),
+        ("dilations", [2], r"ConvMConfig.dilations must be two ints, got \(2,\)"),
+        ("dilations", [], r"ConvMConfig.dilations must be two ints, got \(\)"),
+        ("dilations", [2, 3, 4], r"ConvMConfig.dilations must be two ints, got \(2, 3, 4\)"),
+        ("dropout", "0.2", "ConvMConfig.dropout must be a number, got '0.2'"),
+        ("dropout", 0, None),
+    ])
+    def test_cfg_fields_are_type_checked(self, key, value, match):
+        d = tiny_spec().to_dict()
+        d["layers"][3]["params"]["cfg"][key] = value
+        spec = NetworkSpec.from_dict(d)
+        for fn in (propagate_shapes, count_network, Network):
+            if match is None:  # a YAML ``dropout: 0`` loads
+                fn(spec)
+                continue
+            with pytest.raises(ValueError, match="^layer4: " + match + "$"):
+                fn(spec)
+
     @pytest.mark.parametrize("d", [None, {}, {"layers": "conv"}])
     def test_spec_needs_a_layer_list(self, d):
         with pytest.raises(ValueError, match="a spec needs a 'layers' list"):

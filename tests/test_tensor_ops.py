@@ -129,6 +129,13 @@ class TestConv2d:
         with pytest.raises(ValueError):
             T.conv2d(x, w, groups=2)
 
+    @pytest.mark.parametrize("op", [T.conv2d, T.conv2d_transpose_cropped])
+    def test_zero_stride_is_refused(self, op):
+        x = Tensor(np.zeros((1, 2, 4, 4)))
+        w = Tensor(np.zeros((2, 2, 3, 3)))
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            op(x, w, stride=0)
+
 
 class TestDeconv:
     def test_crop_14_to_14(self):
