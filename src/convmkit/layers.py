@@ -97,7 +97,7 @@ class ConvMConfig:
         if unknown:
             raise ValueError(f"unknown cfg key(s) {unknown}; valid keys are {names}")
         d = dict(d)
-        if "dilations" in d:
+        if isinstance(d.get("dilations"), list):  # anything else fails validate
             d["dilations"] = tuple(d["dilations"])
         return cls(**d)
 

@@ -168,6 +168,7 @@ class TestSpecFile:
         ("dilations", [2], r"ConvMConfig.dilations must be two ints, got \(2,\)"),
         ("dilations", [], r"ConvMConfig.dilations must be two ints, got \(\)"),
         ("dilations", [2, 3, 4], r"ConvMConfig.dilations must be two ints, got \(2, 3, 4\)"),
+        ("dilations", 2, "ConvMConfig.dilations must be two ints, got 2"),
         ("dropout", "0.2", "ConvMConfig.dropout must be a number, got '0.2'"),
         ("dropout", 0, None),
     ])
