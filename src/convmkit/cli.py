@@ -195,13 +195,6 @@ def _load_checkpoint(model, path) -> dict:
         raise click.ClickException(str(exc)) from exc
 
 
-def _write_metrics(path, columns, history):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(columns)
-        w.writerows(history)
-
-
 @main.command("train")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--mode", type=click.Choice(["source_only", "da"]), default=None)
@@ -237,10 +230,17 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.yaml")
         data, stats = _load_data(cfg)
-        history = train_da(model, data, da_cfg, cfg.solver)
+        # line-buffered: each step's row is on disk once the step ends, so a
+        # run that stops early keeps the rows before it
+        with open(out / "metrics.csv", "w", newline="", buffering=1) as f:
+            rows = csv.writer(f)
+            rows.writerow(columns)
+            history = train_da(model, data, da_cfg, cfg.solver,
+                               on_step=lambda step, row: rows.writerow(row))
     except ValueError as exc:  # a config the model or data cannot take
         raise click.ClickException(str(exc)) from exc
-    _write_metrics(out / "metrics.csv", columns, history)
+    except RuntimeError as exc:  # divergence
+        raise click.ClickException(f"{exc}; metrics.csv holds the steps before it") from exc
     ckpt_mod.save(model, out / "checkpoint.zip", step=cfg.solver.max_steps,
                   seed=cfg.solver.seed, extra={"mode": cfg.mode, "stats": stats})
     click.echo(f"final loss {history[-1][3]:.4f}; artifacts in {out}")

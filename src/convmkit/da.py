@@ -4,7 +4,10 @@ The unified loss combines source-label cross-entropy, Gaussian-MMD feature
 alignment at named encoder taps, and input reconstruction through the
 unpooling decoders; the sampling ratio of target-domain examples grows
 linearly over training. Source-only training is the same loop with both
-auxiliary terms removed (``no_gmmd`` and ``no_recons``).
+auxiliary terms removed (``no_gmmd`` and ``no_recons``); such a step forwards
+only the batch's source rows and never reads its target pixels, while its
+dropout masks are still drawn for the whole batch, so the RNG stream is the
+one a full-batch forward would consume.
 """
 
 from __future__ import annotations
@@ -159,26 +162,44 @@ class DomainSampler:
         return DomainBatch(x=x, labels=labels, is_target=is_target)
 
 
+class _RowsRng:
+    """Dropout's rng for a forward of some rows of a batch: each draw is made
+    for the whole batch and cut to ``rows``, so the stream moves exactly as
+    under a forward of the whole batch."""
+
+    def __init__(self, rng: np.random.Generator, batch_rows: int, rows: np.ndarray):
+        self.rng, self.batch_rows, self.rows = rng, batch_rows, rows
+
+    def random(self, shape):
+        return self.rng.random((self.batch_rows, *shape[1:]))[self.rows]
+
+
 def da_loss(model: Network, batch: DomainBatch, cfg: DAConfig, *,
             training: bool = True, rng=None):
     """Total objective and its components on one mixed batch.
 
     CE is taken over source rows only; MMD compares source vs target features
     at each tap; reconstruction runs over the whole batch. Ablation flags
-    drop terms entirely (they are not just zero-weighted).
+    drop terms entirely (they are not just zero-weighted). With both terms
+    dropped only the source rows are forwarded, so target pixels are never
+    read; dropout masks are still drawn for the whole batch and cut to the
+    source rows.
     """
     cfg.validate()
     src = batch.source_rows
     tgt = batch.target_rows
     if len(src) == 0:
         raise ValueError("batch has no source samples; CE is undefined")
-    x = T.Tensor(batch.x, dtype=model.dtype)
     want_recons = not cfg.no_recons
+    source_only = cfg.no_gmmd and not want_recons
+    if source_only and rng is not None:
+        rng = _RowsRng(rng, len(batch.x), src)
+    x = T.Tensor(batch.x[src] if source_only else batch.x, dtype=model.dtype)
     st = model.forward(x, training=training, rng=rng, with_decoders=want_recons)
     if st.logits is None:
         raise ValueError("model has no prediction head")
 
-    src_logits = T.take_rows(st.logits, src)
+    src_logits = st.logits if source_only else T.take_rows(st.logits, src)
     total = T.softmax_cross_entropy(src_logits, batch.labels[src])
     components = {"ce": total.data.item(), "mmd": [], "recon": []}
 

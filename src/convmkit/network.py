@@ -155,10 +155,11 @@ def _linear_shape(p, s):
 
 
 def _maxpool_step(st, i, mod, p, x):
-    # only the decoders read the index maps
+    # only the decoders read the index maps; every unpool through this layer
+    # shares the one UnpoolMap built here
     y, idx = T.maxpool2d_with_indices(x, p["k"], p["stride"], indices=st.with_decoders)
     if idx is not None:
-        st.pool_indices[i] = idx
+        st.pool_indices[i] = T.UnpoolMap(idx, x.shape[2:])
     return y
 
 
@@ -355,14 +356,14 @@ def regular_conv_spec(spec: NetworkSpec) -> NetworkSpec:
 
 class ForwardState:
     """One forward pass: its mode (``training``, dropout ``rng``,
-    ``with_decoders``) and its record: every layer's output, the pooling index
-    maps (built only for a pass with decoders), the logits and the decoders'
-    reconstructions."""
+    ``with_decoders``) and its record: every layer's output, each pooling
+    layer's ``UnpoolMap`` (built only for a pass with decoders), the logits
+    and the decoders' reconstructions."""
 
     def __init__(self, training=False, rng=None, with_decoders=False):
         self.training, self.rng, self.with_decoders = training, rng, with_decoders
         self.layer_outputs: dict[int, Tensor] = {}
-        self.pool_indices: dict[int, np.ndarray] = {}
+        self.pool_indices: dict[int, T.UnpoolMap] = {}
         self.logits: Tensor | None = None
         self.reconstructions: list[Tensor] = []
 

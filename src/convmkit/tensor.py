@@ -32,6 +32,7 @@ __all__ = [
     "conv2d",
     "conv2d_transpose_cropped",
     "maxpool2d_with_indices",
+    "UnpoolMap",
     "unpool2d",
     "avgpool2d",
     "softmax_cross_entropy",
@@ -108,8 +109,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass, with the promotion and -0.0 -> +0.0 of zeros + g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # -- autodiff ------------------------------------------------------------
 
@@ -545,23 +548,43 @@ def maxpool2d_with_indices(x: Tensor, k: int, stride: int, indices: bool = True)
     return _make(out, (x,), bwd), idx
 
 
-def unpool2d(x: Tensor, indices: np.ndarray, target_hw) -> Tensor:
+class UnpoolMap:
+    """Where ``unpool2d`` puts each cell of a pool's index map ``indices``
+    in an output of size ``target_hw``: cell ``owned[j]`` (flat) goes to flat
+    output position ``dst[j]``. A position shared by overlapping windows
+    belongs to the last cell in row-major order alone. Built once per pooling
+    layer, it serves every unpool through that layer."""
+
+    __slots__ = ("shape", "target_hw", "owned", "dst")
+
+    def __init__(self, indices: np.ndarray, target_hw):
+        n, c, oh, ow = indices.shape
+        h, w = target_hw
+        if indices.min() < 0 or indices.max() >= h * w:
+            raise ValueError("unpool2d: index out of target bounds")
+        lin = (indices.reshape(n * c, oh * ow) + np.arange(n * c)[:, None] * (h * w)).ravel()
+        # fancy assignment leaves the winner among duplicate indices undefined
+        cells = np.arange(lin.size)
+        owner = np.full(n * c * h * w, -1)
+        np.maximum.at(owner, lin, cells)
+        self.owned = np.flatnonzero(owner[lin] == cells)
+        self.dst = lin[self.owned]
+        self.shape, self.target_hw = indices.shape, (h, w)
+
+
+def unpool2d(x: Tensor, indices, target_hw) -> Tensor:
     """Scatter pooled values back to their recorded argmax positions; every
-    other element of the [N, C, H, W] output is zero. A position shared by
-    overlapping windows belongs to the last cell in row-major order alone."""
+    other element of the [N, C, H, W] output is zero. ``indices`` is a pool's
+    index map, or the ``UnpoolMap`` built from it (see there)."""
     n, c, oh, ow = x.shape
     if indices.shape != x.shape:
         raise ValueError(f"unpool2d: indices shape {indices.shape} != input {x.shape}")
-    h, w = target_hw
-    if indices.min() < 0 or indices.max() >= h * w:
-        raise ValueError("unpool2d: index out of target bounds")
-    lin = (indices.reshape(n * c, oh * ow) + np.arange(n * c)[:, None] * (h * w)).ravel()
-    # fancy assignment leaves the winner among duplicate indices undefined
-    cells = np.arange(lin.size)
-    owner = np.full(n * c * h * w, -1)
-    np.maximum.at(owner, lin, cells)
-    owned = np.flatnonzero(owner[lin] == cells)
-    dst = lin[owned]
+    umap = indices if isinstance(indices, UnpoolMap) else UnpoolMap(indices, target_hw)
+    if umap.target_hw != tuple(target_hw):
+        raise ValueError(f"unpool2d: index map built for size {umap.target_hw}, "
+                         f"not {tuple(target_hw)}")
+    h, w = umap.target_hw
+    owned, dst = umap.owned, umap.dst
 
     out = np.zeros(n * c * h * w, dtype=x.dtype)
     out[dst] = x.data.ravel()[owned]

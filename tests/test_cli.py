@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import zipfile
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from convmkit import checkpoint, cli, synth, tdf
+from convmkit import checkpoint, cli, da, synth, tdf
 from convmkit import tensor as T
 from convmkit.checkpoint import read_meta
 from convmkit.cli import _load_data, main
@@ -210,6 +211,30 @@ class TestTrainEvalExport:
         first = (tmp_path / "run" / "metrics.csv").read_bytes()
         runner.invoke(main, ["train", "--config", str(cfg)], catch_exceptions=False)
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == first
+
+    def test_divergent_run_keeps_the_rows_before_it(self, runner, tmp_path, monkeypatch):
+        run, on_disk = tmp_path / "run", []
+
+        def train_da(*args, on_step):
+            def step_then_read(step, row):  # each row is on disk as its step ends
+                on_step(step, row)
+                on_disk.append(len((run / "metrics.csv").read_text().splitlines()))
+            return da.train_da(*args, on_step=step_then_read)
+
+        monkeypatch.setattr(cli, "train_da", train_da)
+        cfg = small_config(tmp_path, solver={"max_steps": 6, "base_lr": 1000.0})
+        with np.errstate(all="ignore"):
+            res = runner.invoke(main, ["train", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        k = int(re.search(r"Error: divergence at step (\d+)", res.output).group(1))
+        assert k >= 1
+        with open(run / "metrics.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0][:5] == ["step", "lr", "ratio", "loss_total", "loss_ce"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(k))
+        assert on_disk == list(range(2, k + 2))
+        assert not (run / "checkpoint.zip").exists()
 
     def test_da_mode_logs_mmd_columns(self, runner, tmp_path):
         cfg = small_config(tmp_path, mode="da")

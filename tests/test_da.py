@@ -172,6 +172,58 @@ class TestDALoss:
             assert g is not None and np.any(g != 0), name
 
 
+class TestSourceOnlyRows:
+    """A source-only ``da_loss`` forwards only the source rows, with dropout
+    masks drawn for the whole batch."""
+
+    CFG = DAConfig(no_gmmd=True, no_recons=True)
+
+    @staticmethod
+    def batch(ns, n=32, seed=0):
+        rng = np.random.default_rng(seed)
+        x, y = fake_data(rng, n)
+        is_target = np.arange(n) >= ns
+        return DomainBatch(x=x, labels=np.where(is_target, -1, y), is_target=is_target)
+
+    @staticmethod
+    def full_batch_loss(model, batch, rng):
+        src = batch.source_rows
+        st = model.forward(T.Tensor(batch.x), training=True, rng=rng)
+        return T.softmax_cross_entropy(T.take_rows(st.logits, src), batch.labels[src])
+
+    def test_target_pixels_are_never_read(self):
+        model = tiny_model(seed=1)
+        b = self.batch(ns=5, n=8)
+        b.x[b.target_rows] = np.nan
+        total, comps = da_loss(model, b, self.CFG, rng=np.random.default_rng(2))
+        total.backward()
+        assert np.isfinite(comps["total"])
+        for name, p in model.parameters().items():
+            assert np.all(np.isfinite(p.grad)), name
+
+    def test_rng_stream_is_the_full_batch_one(self):
+        model = tiny_model(seed=1)
+        b = self.batch(ns=5, n=8)
+        rng_rows, rng_full = np.random.default_rng(3), np.random.default_rng(3)
+        da_loss(model, b, self.CFG, rng=rng_rows)
+        model.forward(T.Tensor(b.x), training=True, rng=rng_full)
+        assert rng_rows.bit_generator.state == rng_full.bit_generator.state
+
+    @pytest.mark.parametrize("ns", range(1, 32))
+    def test_gradients_match_full_batch_forward(self, ns):
+        model = tiny_model(seed=2)
+        params = model.parameters()
+        b = self.batch(ns)
+        da_loss(model, b, self.CFG, rng=np.random.default_rng(4))[0].backward()
+        rows = {n: p.grad for n, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+        self.full_batch_loss(model, b, np.random.default_rng(4)).backward()
+        for name, p in params.items():
+            err = np.max(np.abs(rows[name] - p.grad))
+            assert err <= 1e-5 * np.max(np.abs(p.grad)), (name, err)
+
+
 class TestDALossFiniteDifference:
     """The whole ``da_loss`` against finite differences of its value, on a
     float64 tiny net with the head and both decoders, in training mode.

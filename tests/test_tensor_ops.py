@@ -232,6 +232,19 @@ class TestPooling:
         T.tsum(out).backward()
         assert v.grad[0, 0, 0].tolist() == [0.0, 1.0, 1.0]
 
+    def test_unpool_map_serves_several_unpools(self):
+        # overlapping 3/2 windows share positions; the map built once gives
+        # each unpool the bits of the index map's own
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3, 9, 9)))
+        pooled, idx = T.maxpool2d_with_indices(x, 3, 2)
+        umap = T.UnpoolMap(idx, (9, 9))
+        for v in (pooled, Tensor(rng.standard_normal(pooled.shape))):
+            assert (T.unpool2d(v, umap, (9, 9)).data.tobytes()
+                    == T.unpool2d(v, idx, (9, 9)).data.tobytes())
+        with pytest.raises(ValueError, match="built for size"):
+            T.unpool2d(pooled, umap, (10, 10))
+
     def test_unpool_index_out_of_bounds(self):
         v = Tensor(np.ones((1, 1, 1, 1)))
         with pytest.raises(ValueError):
