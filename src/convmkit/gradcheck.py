@@ -166,6 +166,15 @@ def default_suite(rng: np.random.Generator | None = None):
         return convm(x, training=False)
 
     cases.append(("conv_m_module", convm_fn, [_t(rng, 1, 3, 6, 6), *weights]))
+    # conv edge paths, appended so the draws of the cases above stay put:
+    # no padding, padding past the kernel's reach (the input gradient crops)
+    # and a non-square 7x7 stem
+    cases.append(("conv2d_valid_dilated", lambda x, w: T.conv2d(x, w, dilation=2),
+                  [_t(rng, 1, 2, 7, 8), _t(rng, 3, 2, 3, 3)]))
+    cases.append(("conv2d_pad_past_kernel", lambda x, w: T.conv2d(x, w, padding=3),
+                  [_t(rng, 1, 2, 4, 5), _t(rng, 2, 2, 3, 3)]))
+    cases.append(("conv2d_stem_nonsquare", lambda x, w: T.conv2d(x, w, padding=3),
+                  [_t(rng, 1, 3, 9, 6), _t(rng, 4, 3, 7, 7)]))
     return cases
 
 

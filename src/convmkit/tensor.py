@@ -308,30 +308,113 @@ def _conv_out_size(h, k, stride, padding, dilation):
     return (h + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
-def _im2col(xp, k, stride, dilation, oh, ow):
-    """Padded input [N,C,Hp,Wp] -> column stack [N, C, k, k, oh, ow]."""
-    n, c = xp.shape[:2]
-    if k == 1:  # the (strided) input already is the column stack: no copy
-        return xp[:, :, None, None, :(oh - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
-    cols = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
-    for i in range(k):
-        hi = i * dilation
-        for j in range(k):
-            wj = j * dilation
-            cols[:, :, i, j] = xp[:, :, hi:hi + (oh - 1) * stride + 1:stride,
-                                  wj:wj + (ow - 1) * stride + 1:stride]
+# The forward adds the k row GEMMs through one scratch block of at most this
+# many bytes, so no second output-sized array is ever live.
+_ROW_BLOCK_BYTES = 1 << 22
+
+
+def _overlap(n_dst, n_src, offset):
+    """(dst, src) slices where index i of an axis of length n_dst reads
+    source index i - offset, clipped to the n_src source elements."""
+    lo = max(0, offset)
+    hi = max(lo, min(n_dst, n_src + offset))
+    return slice(lo, hi), slice(lo - offset, hi - offset)
+
+
+def _lower(x, k, padding, dilation, ow):
+    """The k column shifts of x padded by ``padding`` on every side (a
+    negative padding crops): [N, C, H, W] -> [N, C, k, H + 2p, ow], where
+    shift j holds padded columns j*d .. j*d + ow - 1. A 1x1 kernel without
+    padding lowers to x itself."""
+    n, c, h, w = x.shape
+    if k == 1 and padding == 0:
+        return x[:, :, None]
+    cols = np.zeros((n, c, k, h + 2 * padding, ow), dtype=x.dtype)
+    rows, src_rows = _overlap(h + 2 * padding, h, padding)
+    for j in range(k):
+        dst, src = _overlap(ow, w, padding - j * dilation)
+        cols[:, :, j, rows, dst] = x[:, :, src_rows, src]
     return cols
 
 
-def _col2im(gcols, xp_shape, k, stride, dilation, oh, ow):
-    gxp = np.zeros(xp_shape, dtype=gcols.dtype)
-    for i in range(k):
-        hi = i * dilation
-        for j in range(k):
-            wj = j * dilation
-            gxp[:, :, hi:hi + (oh - 1) * stride + 1:stride,
-                wj:wj + (ow - 1) * stride + 1:stride] += gcols[:, :, i, j]
-    return gxp
+def _row_windows(cols, groups, dilation, oh):
+    """Kernel row i's operand, per image and group: the rows i*d .. i*d+oh-1
+    of every column shift, a [Cin/g * k, oh*ow] matrix that BLAS reads in
+    place at row stride (H+2p)*ow."""
+    n, c, k, hp, ow = cols.shape
+    flat = cols.reshape(n, groups, c // groups * k, hp * ow)
+    return [flat[..., i * dilation * ow:(i * dilation + oh) * ow] for i in range(k)]
+
+
+def _conv_rows(x, w, padding, dilation, groups):
+    """Stride-1 grouped, dilated conv2d on arrays; a negative padding crops.
+
+    x is lowered once into its k column shifts (``_lower``), and kernel row i
+    is then one GEMM per image and group over its row window
+    (``_row_windows``): the row-lowered convolution of Cho & Brand
+    (arXiv:1706.06873). Returns the output [N, Cout, oh, ow] and the lowered
+    input, which the weight gradient reads.
+    """
+    n, _, h, wd = x.shape
+    cout, cin_g, k, _ = w.shape
+    cout_g = cout // groups
+    oh = h + 2 * padding - dilation * (k - 1)
+    ow = wd + 2 * padding - dilation * (k - 1)
+    cols = _lower(x, k, padding, dilation, ow)
+    windows = _row_windows(cols, groups, dilation, oh)
+    # [k, g, cout_g, cin_g * k]: kernel row i's weight, columns (c, j)
+    w_rows = np.ascontiguousarray(
+        w.reshape(groups, cout_g, cin_g, k, k).transpose(3, 0, 1, 2, 4)
+    ).reshape(k, groups, cout_g, cin_g * k)
+    out = np.empty((n, groups, cout_g, oh * ow), dtype=np.result_type(x, w))
+    # blocks of whole images, or of one image's output columns where an
+    # image's output is larger than _ROW_BLOCK_BYTES; rows 1 .. k-1 each
+    # pass through the one scratch block
+    cell = cout * out.itemsize
+    span = min(oh * ow, max(1, _ROW_BLOCK_BYTES // cell))
+    imgs = max(1, _ROW_BLOCK_BYTES // (cell * oh * ow))
+    scratch = np.empty((min(n, imgs), groups, cout_g, span), dtype=out.dtype)
+    for a in range(0, n, imgs):
+        for b in range(0, oh * ow, span):
+            block = (slice(a, a + imgs), slice(None), slice(None), slice(b, b + span))
+            o = out[block]
+            np.matmul(w_rows[0], windows[0][block], out=o)
+            t = scratch[:o.shape[0], :, :, :o.shape[3]]
+            for i in range(1, k):
+                np.matmul(w_rows[i], windows[i][block], out=t)
+                o += t
+    return out.reshape(n, cout, oh, ow), cols
+
+
+def _conv_weight_grad(g, cols, w_shape, dilation, groups):
+    """d(loss)/dw of a stride-1 conv2d from its lowered input: kernel row i is
+    one GEMM per image and group of g against that row's window."""
+    cout, cin_g, k, _ = w_shape
+    n, _, oh, ow = g.shape
+    g_r = g.reshape(n, groups, cout // groups, oh * ow)
+    rows = [np.matmul(g_r, win.swapaxes(-1, -2)).sum(axis=0)
+            for win in _row_windows(cols, groups, dilation, oh)]
+    # [i, g, cout_g, (c, j)] -> [cout, c, i, j]
+    return np.stack(rows).reshape(k, cout, cin_g, k).transpose(1, 2, 0, 3)
+
+
+def _swap_flip(a, groups):
+    """[g*a_in, a_out, k, k] -> [g*a_out, a_in, k, k]: channels swapped within
+    each group, kernel flipped. A conv2d weight becomes the weight of its
+    transposed conv, and back."""
+    k = a.shape[-1]
+    a_in = a.shape[0] // groups
+    a = a.reshape(groups, a_in, -1, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+    return a.reshape(-1, a_in, k, k)
+
+
+def _conv_input_grad(g, w, padding, dilation, groups):
+    """d(loss)/dx of a stride-1 conv2d: the same forward kernel run on g with
+    the kernel-flipped, group-swapped weight at padding d(k-1) - p, which
+    crops g where p reaches past the kernel."""
+    k = w.shape[-1]
+    return _conv_rows(g, _swap_flip(w, groups), dilation * (k - 1) - padding,
+                      dilation, groups)[0]
 
 
 def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> Tensor:
@@ -339,7 +422,12 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
 
     x: [N, Cin, H, W]; w: [Cout, Cin/groups, k, k]. Output channel c reads
     only the input group floor(c / (Cout/groups)). The package's one conv
-    kernel (im2col + GEMM); a 1x1 conv uses the input itself as its columns.
+    kernel is row-lowered (``_conv_rows``): the padded input is copied into
+    its k column shifts, not k*k im2col columns, and each kernel row is one
+    GEMM over a strided window of them. The input gradient is the same
+    forward kernel run on the output gradient with the flipped weight. A
+    strided conv is the stride-1 conv sampled every ``stride`` pixels, and
+    its gradient runs through the zero-filled stride-1 output gradient.
     """
     n, cin, h, wd = x.shape
     cout, cin_g, k, k2 = w.shape
@@ -357,31 +445,22 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
     ow = _conv_out_size(wd, k, stride, padding, dilation)
     if oh <= 0 or ow <= 0:
         raise ValueError("conv2d: kernel larger than (padded) input")
-    cout_g = cout // groups
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    cols = _im2col(xp, k, stride, dilation, oh, ow)
-    # [N, g, cin_g*k*k, oh*ow]
-    cols_r = cols.reshape(n, groups, cin_g * k * k, oh * ow)
-    w_r = w.data.reshape(groups, cout_g, cin_g * k * k)
-    out = np.matmul(w_r[None], cols_r).reshape(n, cout, oh, ow)
+    out, cols = _conv_rows(x.data, w.data, padding, dilation, groups)
+    full_shape = out.shape
+    sampled = (..., slice(None, None, stride), slice(None, None, stride))
+    if stride > 1:
+        out = np.ascontiguousarray(out[sampled])
 
     def bwd(g):
-        g_r = g.reshape(n, groups, cout_g, oh * ow)
+        if stride > 1:
+            g_full = np.zeros(full_shape, dtype=g.dtype)
+            g_full[sampled] = g
+            g = g_full
         if w.requires_grad:
-            gw = np.matmul(g_r, cols_r.transpose(0, 1, 3, 2)).sum(axis=0)
-            w._accumulate(gw.reshape(w.shape))
+            w._accumulate(_conv_weight_grad(g, cols, w.shape, dilation, groups))
         if x.requires_grad:
-            gcols = np.matmul(np.transpose(w_r, (0, 2, 1))[None], g_r)
-            if k == 1 and stride == 1:  # the columns were xp itself
-                gxp = gcols.reshape(xp.shape)
-            else:
-                gxp = _col2im(gcols.reshape(n, cin, k, k, oh, ow), xp.shape,
-                              k, stride, dilation, oh, ow)
-            if padding:
-                gxp = gxp[:, :, padding:-padding, padding:-padding]
-            x._accumulate(gxp)
+            x._accumulate(_conv_input_grad(g, w.data, padding, dilation, groups))
 
     return _make(out, (x, w), bwd)
 
@@ -389,16 +468,11 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
 def _transposed_weight(w: Tensor, groups: int) -> Tensor:
     """The conv2d weight [Cout, Cin/g, k, k] of the transposed conv with weight
     [Cin, Cout/g, k, k]: channels swapped within each group, kernel flipped."""
-    def view(a, a_in):  # [g*a_in, a_out, k, k] -> [g*a_out, a_in, k, k]
-        k = a.shape[-1]
-        a = a.reshape(groups, a_in, -1, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
-        return a.reshape(-1, a_in, k, k)
-
     def bwd(g):
         if w.requires_grad:
-            w._accumulate(view(g, w.shape[1]))
+            w._accumulate(_swap_flip(g, groups))
 
-    return _make(view(w.data, w.shape[0] // groups), (w,), bwd)
+    return _make(_swap_flip(w.data, groups), (w,), bwd)
 
 
 def _zero_insert(x: Tensor, stride: int, k: int) -> Tensor:
@@ -610,8 +684,14 @@ def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            gshare = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, oh, ow))
-            x._accumulate(_col2im(gshare, x.shape, k, stride, 1, oh, ow))
+            # one broadcast add per output cell: a single add for a global pool
+            share = g / (k * k)
+            gx = np.zeros(x.shape, dtype=share.dtype)
+            for a in range(oh):
+                for b in range(ow):
+                    gx[:, :, a * stride:a * stride + k, b * stride:b * stride + k] += \
+                        share[:, :, a, b, None, None]
+            x._accumulate(gx)
 
     return _make(np.ascontiguousarray(out), (x,), bwd)
 

@@ -54,12 +54,14 @@ def test_convm_with_mse_gradcheck_all_nine_weights():
 
 
 def test_injected_sign_flip_is_caught(monkeypatch):
-    orig = convmkit.tensor._col2im
+    # conv2d's input gradient is the forward kernel run by _conv_input_grad;
+    # a wrong sign there must show up in the input gradient
+    orig = convmkit.tensor._conv_input_grad
 
     def flipped(*args, **kwargs):
         return -orig(*args, **kwargs)
 
-    monkeypatch.setattr(convmkit.tensor, "_col2im", flipped)
+    monkeypatch.setattr(convmkit.tensor, "_conv_input_grad", flipped)
     rng = np.random.default_rng(3)
     x = _t(rng, 1, 2, 5, 5)
     w = _t(rng, 2, 2, 3, 3)

@@ -73,21 +73,23 @@ class TestConv2d:
         w = np.zeros((64, 64 // 4, 3, 3))
         assert w.size == 64 * 64 * 9 // 4 == 9216
 
-    @pytest.mark.parametrize("stride,padding,dilation,groups,k", [
-        pytest.param(1, 0, 1, 1, 3, id="1-0-1-1"),
-        pytest.param(2, 1, 1, 1, 3, id="2-1-1-1"),
-        pytest.param(1, 2, 2, 2, 3, id="1-2-2-2"),
-        pytest.param(1, 3, 3, 1, 3, id="1-3-3-1"),
-        pytest.param(2, 2, 2, 4, 3, id="2-2-2-4"),
-        # 1x1: the input (strided for stride 2) is the column matrix
-        pytest.param(1, 0, 1, 1, 1, id="1x1-1-0-1-1"),
-        pytest.param(2, 0, 1, 1, 1, id="1x1-2-0-1-1"),
-        pytest.param(1, 0, 1, 2, 1, id="1x1-1-0-1-2"),
-        pytest.param(2, 0, 1, 2, 1, id="1x1-2-0-1-2"),
+    @pytest.mark.parametrize("stride,padding,dilation,groups,k,hw", [
+        pytest.param(1, 0, 1, 1, 3, (9, 9), id="1-0-1-1"),
+        pytest.param(2, 1, 1, 1, 3, (9, 9), id="2-1-1-1"),
+        pytest.param(1, 2, 2, 2, 3, (9, 9), id="1-2-2-2"),
+        pytest.param(1, 3, 3, 1, 3, (9, 9), id="1-3-3-1"),
+        pytest.param(2, 2, 2, 4, 3, (9, 9), id="2-2-2-4"),
+        # 1x1 without padding: the input is its own lowering, no copy
+        pytest.param(1, 0, 1, 1, 1, (9, 9), id="1x1-1-0-1-1"),
+        pytest.param(2, 0, 1, 1, 1, (9, 9), id="1x1-2-0-1-1"),
+        pytest.param(1, 0, 1, 2, 1, (9, 9), id="1x1-1-0-1-2"),
+        pytest.param(2, 0, 1, 2, 1, (9, 9), id="1x1-2-0-1-2"),
+        pytest.param(1, 1, 2, 2, 3, (9, 7), id="9x7-1-1-2-2"),
+        pytest.param(2, 1, 1, 4, 4, (6, 11), id="6x11-2-1-1-4-k4"),
     ])
-    def test_matches_naive(self, stride, padding, dilation, groups, k):
+    def test_matches_naive(self, stride, padding, dilation, groups, k, hw):
         rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 4, 9, 9))
+        x = rng.standard_normal((2, 4, *hw))
         w = rng.standard_normal((8, 4 // groups, k, k))
         got = T.conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
                        stride, padding, dilation, groups).data
@@ -135,6 +137,61 @@ class TestConv2d:
         w = Tensor(np.zeros((2, 2, 3, 3)))
         with pytest.raises(ValueError, match="stride must be >= 1"):
             op(x, w, stride=0)
+
+    @pytest.mark.parametrize("shape,cout,k,stride,padding,dilation,groups", [
+        pytest.param((2, 4, 9, 7), 6, 3, 1, 1, 1, 2, id="9x7-k3"),
+        pytest.param((1, 3, 6, 11), 4, 2, 1, 0, 1, 1, id="6x11-k2"),
+        pytest.param((2, 2, 9, 7), 4, 4, 1, 1, 1, 1, id="9x7-k4"),
+        pytest.param((1, 4, 6, 11), 4, 4, 1, 2, 1, 2, id="6x11-k4-p2"),
+        pytest.param((2, 4, 9, 9), 4, 3, 1, 0, 2, 2, id="valid-dilated"),
+        pytest.param((2, 3, 5, 6), 4, 1, 1, 1, 1, 1, id="1x1-p1"),
+        pytest.param((1, 2, 5, 5), 3, 3, 1, 3, 1, 1, id="3x3-p3"),
+        pytest.param((1, 3, 16, 12), 8, 7, 1, 3, 1, 1, id="stem-7x7-p3"),
+        pytest.param((1, 8, 7, 7), 8, 3, 1, 1, 1, 4, id="groups4"),
+        pytest.param((1, 4, 9, 8), 4, 3, 2, 1, 1, 2, id="stride2"),
+        pytest.param((1, 8, 15, 13), 8, 7, 2, 3, 1, 4, id="stem-7x7-p3-g4-s2"),
+    ])
+    def test_both_gradients_are_adjoint(self, shape, cout, k, stride, padding,
+                                        dilation, groups):
+        # conv2d is bilinear, so <conv2d(x, w), g> = <x, dx> = <w, dw>
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, shape[1] // groups, k, k)), requires_grad=True)
+        y = T.conv2d(x, w, stride, padding, dilation, groups)
+        g = rng.standard_normal(y.shape)
+        y._backward(g)
+        want = np.vdot(y.data, g)
+        for value, grad in ((x.data, x.grad), (w.data, w.grad)):
+            assert abs(np.vdot(value, grad) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("block_cells", [7, 2 * 9 * 7, 5 * 9 * 7])
+    def test_row_blocks_match_naive(self, monkeypatch, block_cells):
+        # a scratch block of a few output columns, of two whole images, and
+        # of more images than the batch holds
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 4, 9, 7))
+        w = rng.standard_normal((6, 2, 3, 3))
+        monkeypatch.setattr(T, "_ROW_BLOCK_BYTES", block_cells * 6 * 8)
+        got = T.conv2d(Tensor(x), Tensor(w), padding=1, dilation=1, groups=2).data
+        np.testing.assert_allclose(got, conv2d_naive(x, w, 1, 1, 1, 2), atol=1e-12)
+
+    def test_memory_stays_within_k_fold_columns(self):
+        # one forward + backward keeps the k column shifts of the input, not
+        # im2col's k*k columns
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((4, 32, 64, 64)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((32, 8, 3, 3)).astype(np.float32), requires_grad=True)
+        g = np.ones((4, 32, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            T.conv2d(x, w, padding=1, groups=4)._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input"
 
 
 class TestDeconv:
