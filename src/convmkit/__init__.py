@@ -1,8 +1,8 @@
 """convmkit: compact three-branch CNN with exact parameter auditing and
 MMD-based unsupervised domain adaptation, on a from-scratch autodiff core."""
 
-from .tensor import Tensor, set_checked
-from .layers import ConvM, ConvMConfig, receptive_field, dilation_rate_for
+from .tensor import Tensor
+from .layers import ConvM, ConvMConfig
 from .network import (NetworkSpec, Network, build_network, reference_spec,
                       tiny_spec, attach_da_heads, attach_decoders, propagate_shapes)
 # note: the audit/gradcheck submodules each define a function of the same

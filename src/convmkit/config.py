@@ -44,7 +44,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Build from a nested dict; an unknown key at the top level or in the
-        ``synth``/``da``/``solver`` sections is a ValueError naming it."""
+        ``synth``/``da``/``solver`` sections, or a ``da``/``solver`` value of
+        the wrong type or range, is a ValueError naming it."""
         _check_keys(d, cls)
         for section, section_cls in (("synth", SynthParams), ("da", DAConfig),
                                      ("solver", SolverConfig)):
@@ -55,8 +56,11 @@ class RunConfig:
             synth["shifts"] = tuple(synth["shifts"])
         da = d.pop("da", {})
         solver = d.pop("solver", {})
-        return cls(synth=SynthParams(**synth), da=DAConfig(**da),
-                   solver=SolverConfig(**solver), **d)
+        cfg = cls(synth=SynthParams(**synth), da=DAConfig(**da),
+                  solver=SolverConfig(**solver), **d)
+        cfg.da.validate()
+        cfg.solver.validate()
+        return cfg
 
 
 def _check_keys(d: dict, cls, section: str = "") -> None:

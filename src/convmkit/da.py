@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .layers import check_number
 from .mmd import median_bandwidth, mmd_loss
 from .network import DECODER_NAMES, Network
 from .optim import SGDMomentum, poly_lr
@@ -39,6 +40,9 @@ class DAConfig:
     no_recons: bool = False
 
     def validate(self) -> None:
+        for name in ("mmd_weight", "recon_weight", "sampling_start", "sampling_end",
+                     "head_lr_multiplier"):
+            check_number(f"da.{name}", getattr(self, name), float)
         if self.mmd_weight < 0 or self.recon_weight < 0:
             raise ValueError("loss weights must be non-negative")
         if not 0.0 <= self.sampling_start <= self.sampling_end <= 1.0:
@@ -53,6 +57,13 @@ class SolverConfig:
     max_steps: int = 1000
     batch_size: int = 64
     seed: int = 0
+
+    def validate(self) -> None:
+        for name in ("base_lr", "power", "momentum"):
+            check_number(f"solver.{name}", getattr(self, name), float)
+        for name in ("max_steps", "batch_size"):
+            check_number(f"solver.{name}", getattr(self, name), int)
+        check_number("solver.seed", self.seed, int, low=0)
 
 
 @dataclass
@@ -260,6 +271,7 @@ def train_da(model: Network, datasets: DADatasets, cfg: DAConfig,
     predictor.
     """
     cfg.validate()
+    solver.validate()
     n_taps = len(mmd_taps(model, cfg))
     freeze = freeze_layers(model, cfg)
     rng = np.random.default_rng(solver.seed)

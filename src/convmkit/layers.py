@@ -23,8 +23,13 @@ def he_weight(shape, fan_in, rng, dtype):
 
 
 def check_number(what: str, v, typ: type, low: int | None = 1) -> None:
-    """The type and range rule of a spec value: an ``int`` refuses a bool (and
-    a float) and must be >= ``low`` (None: any); a ValueError names ``what``."""
+    """The type and range rule of a spec or config value: an ``int`` refuses a
+    bool (and a float) and must be >= ``low`` (None: any); a ``float`` is any
+    int or float but a bool; a ValueError names ``what``."""
+    if typ is float:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{what} must be a number, got {v!r}")
+        return
     if not isinstance(v, typ) or (isinstance(v, bool) and typ is not bool):
         raise ValueError(f"{what} must be of type {typ.__name__}, got {v!r}")
     if typ is int and low is not None and v < low:
@@ -72,8 +77,7 @@ class ConvMConfig:
             raise ValueError(f"ConvMConfig.dilations must be two ints, got {rates!r}")
         for d in rates:
             check_number("ConvMConfig.dilations", d, int)
-        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
-            raise ValueError(f"ConvMConfig.dropout must be a number, got {self.dropout!r}")
+        check_number("ConvMConfig.dropout", self.dropout, float)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         for name in channels:
@@ -124,22 +128,6 @@ def branch_counts(cfg: ConvMConfig) -> tuple[int, int, int]:
 
 def count_conv_m(cfg: ConvMConfig) -> int:
     return sum(branch_counts(cfg))
-
-
-def receptive_field(d: int) -> int:
-    """Window edge seen by a dilated 3x3 conv at dilation factor d."""
-    if d < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {d}")
-    return 2 ** (d + 1) - 1
-
-
-def dilation_rate_for(d: int, k: int = 3) -> int:
-    """Rate making a k-kernel span the factor-d receptive field (k=3 only:
-    solve rate*(k-1) + 1 == 2**(d+1) - 1)."""
-    span = receptive_field(d) - 1
-    if span % (k - 1):
-        raise ValueError(f"no integer rate for d={d}, k={k}")
-    return span // (k - 1)
 
 
 class ConvM:

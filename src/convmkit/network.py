@@ -30,10 +30,6 @@ class LayerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
-        for key in ("freeze", "lr_mult"):
-            if key in d:
-                raise ValueError(f"layer spec key {key!r} is no longer supported; "
-                                 "freeze layers with the run config's da.freeze_set")
         unknown = [key for key in d if key not in ("kind", "params")]
         if unknown:
             raise ValueError(f"unknown layer key(s) {unknown}; valid keys are "
@@ -41,10 +37,6 @@ class LayerSpec:
         if "kind" not in d:
             raise ValueError("layer has no 'kind'")
         p = dict(d.get("params", {}))
-        if "regular_only" in p:
-            raise ValueError("layer spec param 'regular_only' is no longer supported; "
-                             "the regular-conv ablation is cfg.dilations [1, 1] "
-                             "(network.regular_conv_spec)")
         if d["kind"] == "conv_m":
             if not isinstance(p.get("cfg"), dict):
                 raise ValueError("a 'conv_m' layer needs a 'cfg' mapping")
@@ -476,10 +468,9 @@ class Decoder(Part):
     time the decoders apart from the head."""
 
 
-def attach_da_heads(net: Network, num_classes: int, *, rng=None,
-                    hidden: int = 256) -> Network:
+def attach_da_heads(net: Network, num_classes: int, *, rng=None) -> Network:
     """Replace the classification linear with a two-layer prediction head
-    (features -> hidden -> num_classes) on the avgpool output; new layers
+    (features -> 256 -> num_classes) on the avgpool output; new layers
     train at 10x LR."""
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -493,7 +484,7 @@ def attach_da_heads(net: Network, num_classes: int, *, rng=None,
     if net.spec.layers[-1].kind != "avgpool":
         raise ValueError("network has no avgpool stage")
     net.head = Part("head", net, len(net.spec.layers) - 1, [
-        ("fc1", LayerSpec("linear", {"out_features": hidden, "relu": True})),
+        ("fc1", LayerSpec("linear", {"out_features": 256, "relu": True})),
         ("fc2", LayerSpec("linear", {"out_features": num_classes}))],
         rng=rng or np.random.default_rng(0))
     net.num_classes = num_classes

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "set_checked",
     "no_grad",
     "add",
     "scale",
@@ -38,15 +37,6 @@ __all__ = [
     "softmax_cross_entropy",
     "mse",
 ]
-
-# When enabled, every op verifies its output is finite and raises otherwise.
-_CHECKED = False
-
-
-def set_checked(flag: bool) -> None:
-    global _CHECKED
-    _CHECKED = bool(flag)
-
 
 _NO_GRAD = False  # set by no_grad(): ops record no tape, results are leaves
 
@@ -69,9 +59,9 @@ class Tensor:
     is allocated lazily by ``backward()`` and has the same shape and dtype.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=""):
+    def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -81,7 +71,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
 
@@ -101,8 +90,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def zero_grad(self):
         self.grad = None
@@ -142,12 +130,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                if _CHECKED:
-                    for p in node._parents:
-                        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                            raise FloatingPointError(
-                                f"non-finite gradient flowing into {p!r}"
-                            )
 
     # -- operator sugar --------------------------------------------------------
 
@@ -159,18 +141,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def sum(self):
-        return tsum(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
 
 def _make(data, parents, backward_fn):
     """Create a graph node; drops the closure if no parent needs gradients
     or the tape is off (``no_grad``)."""
-    if _CHECKED and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by an op in checked mode")
     needs = not _NO_GRAD and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
@@ -398,22 +372,14 @@ def _conv_weight_grad(g, cols, w_shape, dilation, groups):
     return np.stack(rows).reshape(k, cout, cin_g, k).transpose(1, 2, 0, 3)
 
 
-def _swap_flip(a, groups):
-    """[g*a_in, a_out, k, k] -> [g*a_out, a_in, k, k]: channels swapped within
-    each group, kernel flipped. A conv2d weight becomes the weight of its
-    transposed conv, and back."""
-    k = a.shape[-1]
-    a_in = a.shape[0] // groups
-    a = a.reshape(groups, a_in, -1, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
-    return a.reshape(-1, a_in, k, k)
-
-
 def _conv_input_grad(g, w, padding, dilation, groups):
     """d(loss)/dx of a stride-1 conv2d: the same forward kernel run on g with
-    the kernel-flipped, group-swapped weight at padding d(k-1) - p, which
-    crops g where p reaches past the kernel."""
-    k = w.shape[-1]
-    return _conv_rows(g, _swap_flip(w, groups), dilation * (k - 1) - padding,
+    the kernel-flipped weight, its channels swapped within each group
+    ([Cout, Cin/g, k, k] -> [Cin, Cout/g, k, k]), at padding d(k-1) - p,
+    which crops g where p reaches past the kernel."""
+    cout_g, k = w.shape[0] // groups, w.shape[-1]
+    w = w.reshape(groups, cout_g, -1, k, k).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+    return _conv_rows(g, w.reshape(-1, cout_g, k, k), dilation * (k - 1) - padding,
                       dilation, groups)[0]
 
 
@@ -465,47 +431,20 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0, dilation=1, groups=1) -> T
     return _make(out, (x, w), bwd)
 
 
-def _transposed_weight(w: Tensor, groups: int) -> Tensor:
-    """The conv2d weight [Cout, Cin/g, k, k] of the transposed conv with weight
-    [Cin, Cout/g, k, k]: channels swapped within each group, kernel flipped."""
-    def bwd(g):
-        if w.requires_grad:
-            w._accumulate(_swap_flip(g, groups))
-
-    return _make(_swap_flip(w.data, groups), (w,), bwd)
-
-
-def _zero_insert(x: Tensor, stride: int, k: int) -> Tensor:
-    """The input of the valid conv2d that gives the centre-cropped transposed
-    conv: ``stride - 1`` zeros between pixels, k - 1 zeros of padding, then
-    the crop window [N, C, H+k-1, W+k-1] (off-centre when the excess is odd)."""
-    n, c, h, wd = x.shape
-    hz, wz = (h - 1) * stride + 1, (wd - 1) * stride + 1
-    top, left = (hz + k - 1 - h) // 2, (wz + k - 1 - wd) // 2
-    full = np.zeros((n, c, hz + 2 * k - 2, wz + 2 * k - 2), dtype=x.dtype)
-    pixels = (..., slice(k - 1, k - 1 + hz, stride), slice(k - 1, k - 1 + wz, stride))
-    window = (..., slice(top, top + h + k - 1), slice(left, left + wd + k - 1))
-    full[pixels] = x.data
-
-    def bwd(g):
-        if x.requires_grad:
-            gfull = np.zeros_like(full)
-            gfull[window] = g
-            x._accumulate(gfull[pixels])
-
-    return _make(full[window], (x,), bwd)
-
-
 def conv2d_transpose_cropped(x: Tensor, w: Tensor, stride=1, groups=1) -> Tensor:
     """Grouped transposed convolution whose output is center-cropped back to
     the input's spatial size.
 
     x: [N, Cin, H, W]; w: [Cin, Cout/groups, k, k]. The raw output has size
     (H-1)*stride + k; when the excess over H is odd the extra row/column is
-    dropped from the bottom/right. Runs as ``conv2d`` with the flipped,
-    per-group-transposed weight (Dumoulin & Visin, arXiv:1603.07285).
+    dropped from the bottom/right. It is the adjoint of the conv2d from Cout
+    to Cin channels with weight w (Dumoulin & Visin, arXiv:1603.07285): the
+    forward is that conv's input-gradient kernel run on x (zero-filled
+    between pixels at stride > 1), whose padding crops half the smaller
+    excess on every side, and a slice the rest; the backward is that conv's
+    forward kernel run on the output gradient, plus its weight gradient.
     """
-    cin = x.shape[1]
+    n, cin, h, wd = x.shape
     cin_w, _, k, k2 = w.shape
     if k != k2:
         raise ValueError("transposed conv: only square kernels are supported")
@@ -515,10 +454,31 @@ def conv2d_transpose_cropped(x: Tensor, w: Tensor, stride=1, groups=1) -> Tensor
         raise ValueError(f"transposed conv: weight Cin={cin_w} vs input Cin={cin}")
     if cin % groups:
         raise ValueError(f"transposed conv: Cin={cin} not divisible by groups={groups}")
-    wv = _transposed_weight(w, groups)
-    if stride == 1 and k % 2:
-        return conv2d(x, wv, padding=(k - 1) // 2, groups=groups)
-    return conv2d(_zero_insert(x, stride, k), wv, groups=groups)
+    # excess of the raw size (H-1)*stride + k over the input size
+    eh, ew = (h - 1) * (stride - 1) + k - 1, (wd - 1) * (stride - 1) + k - 1
+    p = min(eh, ew) // 2
+    sampled = (..., slice(None, None, stride), slice(None, None, stride))
+    xz = x.data
+    if stride > 1:
+        xz = np.zeros((n, cin, (h - 1) * stride + 1, (wd - 1) * stride + 1), dtype=x.dtype)
+        xz[sampled] = x.data
+    raw = _conv_input_grad(xz, w.data, p, 1, groups)
+    raw_shape = raw.shape
+    window = (..., slice(eh // 2 - p, eh // 2 - p + h), slice(ew // 2 - p, ew // 2 - p + wd))
+    out = np.ascontiguousarray(raw[window])  # raw itself where nothing is left to crop
+
+    def bwd(g):
+        if g.shape != raw_shape:
+            g_raw = np.zeros(raw_shape, dtype=g.dtype)
+            g_raw[window] = g
+            g = g_raw
+        gx, cols = _conv_rows(g, w.data, p, 1, groups)
+        if x.requires_grad:
+            x._accumulate(gx[sampled])
+        if w.requires_grad:
+            w._accumulate(_conv_weight_grad(xz, cols, w.shape, 1, groups))
+
+    return _make(out, (x, w), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from convmkit.checkpoint import CheckpointError
 from convmkit.network import (
     attach_da_heads,
     LayerSpec,
+    NetworkSpec,
     build_network,
+    propagate_shapes,
     reference_spec,
     tiny_spec,
 )
@@ -72,15 +74,17 @@ class TestFormat:
     @pytest.mark.parametrize("key,value", [("freeze", True), ("lr_mult", 0.5)])
     def test_layer_freeze_keys_rejected(self, key, value):
         d = {"kind": "conv", "params": {"out_channels": 8, "k": 3}, key: value}
-        with pytest.raises(ValueError, match=f"'{key}'.*freeze_set"):
+        with pytest.raises(ValueError, match=rf"^unknown layer key\(s\) \['{key}'\]"):
             LayerSpec.from_dict(d)
 
     def test_regular_only_param_rejected(self):
-        d = tiny_spec().to_dict()["layers"][3]
-        assert d["kind"] == "conv_m"
-        d["params"]["regular_only"] = True
-        with pytest.raises(ValueError, match="'regular_only'.*dilations"):
-            LayerSpec.from_dict(d)
+        d = tiny_spec().to_dict()
+        assert d["layers"][3]["kind"] == "conv_m"
+        d["layers"][3]["params"]["regular_only"] = True
+        spec = NetworkSpec.from_dict(d)
+        with pytest.raises(ValueError,
+                           match=r"^layer4: unknown param\(s\) \['regular_only'\] for 'conv_m'"):
+            propagate_shapes(spec)
 
 
 class TestRejection:

@@ -398,6 +398,26 @@ class TestTrainEvalExport:
         assert "freeze_set: unknown layer name(s) ['layer99']" in res.output
         assert not (tmp_path / "bad").exists()
 
+    def test_zero_max_steps_writes_nothing(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_load_data", self.no_data)
+        cfg = small_config(tmp_path, solver={"max_steps": 0})
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--out", str(tmp_path / "bad")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "solver.max_steps must be >= 1, got 0" in res.output
+        assert not (tmp_path / "bad").exists()
+
+    def test_non_numeric_da_weight_writes_nothing(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_load_data", self.no_data)
+        cfg = small_config(tmp_path, da={"mmd_weight": "abc"})
+        res = runner.invoke(main, ["train", "--config", str(cfg),
+                                   "--out", str(tmp_path / "bad")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "da.mmd_weight must be a number, got 'abc'" in res.output
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("command", [
         ["eval", "--checkpoint"], ["train", "--resume"],
         ["export-features", "--layer", "layer2", "--checkpoint"]])

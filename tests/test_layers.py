@@ -2,25 +2,13 @@ import numpy as np
 import pytest
 
 from convmkit import tensor as T
-from convmkit.layers import ConvM, ConvMConfig, dilation_rate_for, receptive_field
+from convmkit.layers import ConvM, ConvMConfig
 from convmkit.tensor import Tensor
 
 LAYER4_CFG = ConvMConfig(n_in=64, c1=64, c2=64, c3=64, c4=64, dic1=64, dic2=64,
                          c5=32, dec1=32, dec2=32)
 LAYER12_CFG = ConvMConfig(n_in=576, c1=160, c2=256, c3=280, c4=160, dic1=256,
                           dic2=280, c5=64, dec1=128, dec2=128)
-
-
-def test_receptive_field_law():
-    assert receptive_field(1) == 3
-    assert receptive_field(2) == 7
-    with pytest.raises(ValueError):
-        receptive_field(0)
-
-
-def test_dilation_rate_for_3x3():
-    assert dilation_rate_for(1) == 1
-    assert dilation_rate_for(2) == 3  # 2*3 + 1 == 7
 
 
 def test_output_channel_plans():

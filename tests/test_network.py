@@ -151,7 +151,7 @@ class TestSpecFile:
         ({"kind": "conv", "parms": {"out_channels": 4, "k": 1}},
          r"^layer2: unknown layer key\(s\) \['parms'\]"),
         ({"kind": "conv", "params": {"out_channels": 4, "k": 1}, "freeze": True},
-         r"^layer2: layer spec key 'freeze' is no longer supported"),
+         r"^layer2: unknown layer key\(s\) \['freeze'\]"),
     ])
     def test_malformed_layer_names_it(self, layer, match):
         d = {"layers": [{"kind": "input", "params": {"channels": 3, "height": 8,
