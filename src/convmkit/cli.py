@@ -1,5 +1,5 @@
-"""Command-line surface: audit | gradcheck | make-synth | train | eval |
-export-features."""
+"""Command-line surface: audit | gradcheck | make-synth | import-images | train |
+eval | export-features."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from . import ingest as ingest_mod
 from . import synth as synth_mod
 from . import tdf
 from . import tensor as T
-from .config import RunConfig, load_config, save_config
+from .config import MODES, RunConfig, load_config, save_config
 from .da import (DAConfig, DADatasets, SolverConfig, evaluate as da_evaluate,
                  freeze_layers, metric_columns, mmd_taps, train_da)
 from .gradcheck import gradcheck, run_default_suite, _t
@@ -26,7 +26,19 @@ from .network import (attach_da_heads, attach_decoders, build_network,
                       reference_spec, tiny_spec)
 
 
-@click.group()
+class _RefusalGroup(click.Group):
+    """The command group; every package refusal is a ValueError
+    (``ImageError``, ``CheckpointError``, ``TDFError`` and the spec and
+    config errors), shown as ``Error: <message>`` with exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_RefusalGroup)
 def main():
     """Compact three-branch CNN: parameter audits, gradient checks, synthetic
     two-domain benchmarks, and MMD-based domain-adaptation training."""
@@ -47,19 +59,16 @@ def cmd_audit(config_path, spec_name, solve_groups, golden, out_dir):
     named = {"reference": reference_spec, "tiny": tiny_spec}
     if golden is None:
         golden = spec_name == "reference" and not config_path
-    try:
-        if config_path:
-            spec = _load_config(config_path).resolve_spec()
-        elif spec_name in named:
-            spec = named[spec_name]()
-        elif Path(spec_name).is_file():
-            spec = RunConfig(network=spec_name).resolve_spec()
-        else:
-            raise click.BadParameter(f"{spec_name!r} is not 'tiny', 'reference' or "
-                                     "a spec YAML path", param_hint="'--spec'")
-        report = run_audit(spec, REFERENCE_COUNTS if golden else None)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    if config_path:
+        spec = _load_config(config_path).resolve_spec()
+    elif spec_name in named:
+        spec = named[spec_name]()
+    elif Path(spec_name).is_file():
+        spec = RunConfig(network=spec_name).resolve_spec()
+    else:
+        raise click.BadParameter(f"{spec_name!r} is not 'tiny', 'reference' or "
+                                 "a spec YAML path", param_hint="'--spec'")
+    report = run_audit(spec, REFERENCE_COUNTS if golden else None)
     click.echo(report.to_table())
     if solve_groups:
         click.echo("group-factor derivation:")
@@ -142,15 +151,13 @@ def cmd_make_synth(classes, per_class, size, shift, seed, out_dir):
 @click.option("--root", "root_dir", type=click.Path(exists=True), required=True,
               help="tree laid out as root/<domain>/<class>/<image>")
 @click.option("--domains", default="source,target",
-              help="comma list of domain directory names")
+              help="SRC,TGT: the directories under --root read as the source "
+                   "and the target domain (written as source/ and target/)")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_import_images(root_dir, domains, out_dir):
     """Convert a directory of PNG/raw images into the TDF dataset layout."""
     doms = tuple(d.strip() for d in domains.split(","))
-    try:
-        out = ingest_mod.import_images(root_dir, out_dir, domains=doms)
-    except ingest_mod.ImageError as exc:
-        raise click.ClickException(str(exc)) from exc
+    out = ingest_mod.import_images(root_dir, out_dir, domains=doms)
     click.echo(f"dataset written under {out}")
 
 
@@ -177,27 +184,15 @@ def _load_data(cfg: RunConfig):
 
 
 def _build_model(cfg: RunConfig):
-    """The test-time predictor: the encoder with the DA prediction head; a
-    spec it cannot take is a click error."""
+    """The test-time predictor: the encoder with the DA prediction head."""
     rng = np.random.default_rng(cfg.solver.seed)
-    try:
-        net = build_network(cfg.resolve_spec(), rng=rng)
-        return attach_da_heads(net, cfg.num_classes, rng=rng)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
-def _load_checkpoint(model, path) -> dict:
-    """``checkpoint.load`` with a mismatch shown as a click error."""
-    try:
-        return ckpt_mod.load(model, path)
-    except ckpt_mod.CheckpointError as exc:
-        raise click.ClickException(str(exc)) from exc
+    net = build_network(cfg.resolve_spec(), rng=rng)
+    return attach_da_heads(net, cfg.num_classes, rng=rng)
 
 
 @main.command("train")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--mode", type=click.Choice(["source_only", "da"]), default=None)
+@click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--resume", "resume_path", type=click.Path(exists=True), default=None)
 @click.option("--seed", default=None, type=int)
 @click.option("--out", "out_dir", type=click.Path(), default=None)
@@ -216,31 +211,29 @@ def cmd_train(config_path, mode, resume_path, seed, out_dir):
     # test-time predictor, so a source-only one can seed DA fine-tuning
     model = _build_model(cfg)
     if resume_path:
-        _load_checkpoint(model, resume_path)
-
-    try:
-        if cfg.mode == "da":
-            attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))
-            da_cfg = cfg.da
-        else:
-            da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
-        columns = metric_columns(len(mmd_taps(model, da_cfg)))
-        freeze_layers(model, da_cfg)
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_config(cfg, out / "config.yaml")
-        data, stats = _load_data(cfg)
-        # line-buffered: each step's row is on disk once the step ends, so a
-        # run that stops early keeps the rows before it
-        with open(out / "metrics.csv", "w", newline="", buffering=1) as f:
-            rows = csv.writer(f)
-            rows.writerow(columns)
+        ckpt_mod.load(model, resume_path)
+    if cfg.mode == "da":
+        attach_decoders(model, rng=np.random.default_rng(cfg.solver.seed + 1))
+        da_cfg = cfg.da
+    else:
+        da_cfg = dataclasses.replace(cfg.da, no_gmmd=True, no_recons=True)
+    columns = metric_columns(len(mmd_taps(model, da_cfg)))
+    freeze_layers(model, da_cfg)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.yaml")
+    data, stats = _load_data(cfg)
+    # line-buffered: each step's row is on disk once the step ends, so a
+    # run that stops early keeps the rows before it
+    with open(out / "metrics.csv", "w", newline="", buffering=1) as f:
+        rows = csv.writer(f)
+        rows.writerow(columns)
+        try:
             history = train_da(model, data, da_cfg, cfg.solver,
                                on_step=lambda step, row: rows.writerow(row))
-    except ValueError as exc:  # a config the model or data cannot take
-        raise click.ClickException(str(exc)) from exc
-    except RuntimeError as exc:  # divergence
-        raise click.ClickException(f"{exc}; metrics.csv holds the steps before it") from exc
+        except RuntimeError as exc:  # divergence
+            raise click.ClickException(
+                f"{exc}; metrics.csv holds the steps before it") from exc
     ckpt_mod.save(model, out / "checkpoint.zip", step=cfg.solver.max_steps,
                   seed=cfg.solver.seed, extra={"mode": cfg.mode, "stats": stats})
     click.echo(f"final loss {history[-1][3]:.4f}; artifacts in {out}")
@@ -254,14 +247,11 @@ def cmd_eval(config_path, ckpt_path, split):
     """Top-1 accuracy of a checkpoint on the labeled source or target split."""
     cfg = _load_config(config_path)
     model = _build_model(cfg)
-    meta = _load_checkpoint(model, ckpt_path)
+    meta = ckpt_mod.load(model, ckpt_path)
     data, _ = _load_data(cfg)
     x, y = ((data.source_x, data.source_y) if split == "source"
             else (data.target_x, data.target_y))
-    try:
-        acc = da_evaluate(model, x, y, batch_size=cfg.solver.batch_size)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    acc = da_evaluate(model, x, y, batch_size=cfg.solver.batch_size)
     click.echo(f"{split} top-1 accuracy: {acc:.4f} (step {meta['step']})")
 
 
@@ -277,11 +267,8 @@ def cmd_export_features(config_path, ckpt_path, images_path, layer, out_dir):
     branch (c3 / dic2 / dec2)."""
     cfg = _load_config(config_path)
     model = _build_model(cfg)
-    try:
-        (i,) = model.spec.layer_indices([layer], "--layer")
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    meta = _load_checkpoint(model, ckpt_path)
+    (i,) = model.spec.layer_indices([layer], "--layer")
+    meta = ckpt_mod.load(model, ckpt_path)
     p = Path(images_path)
     files = sorted(p.glob("*.tdf")) if p.is_dir() else [p]
     x = np.stack([tdf.read(f) for f in files])

@@ -15,13 +15,15 @@ from .da import DAConfig, SolverConfig
 from .network import NetworkSpec, reference_spec, tiny_spec
 from .synth import SynthParams
 
+MODES = ("source_only", "da")
+
 
 @dataclass
 class RunConfig:
     network: str = "tiny"            # "tiny" | "reference" | path to a spec YAML
     num_classes: int = 10
     input_size: int = 32
-    mode: str = "source_only"        # "source_only" | "da"
+    mode: str = "source_only"        # one of MODES
     data_dir: str | None = None      # dataset root (manifest.csv); None -> synthetic
     synth: SynthParams = field(default_factory=SynthParams)
     da: DAConfig = field(default_factory=DAConfig)
@@ -33,6 +35,9 @@ class RunConfig:
             return tiny_spec(self.num_classes, self.input_size)
         if self.network == "reference":
             return reference_spec(self.num_classes)
+        if not Path(self.network).is_file():
+            raise ValueError(f"network must be 'tiny', 'reference' or a spec YAML "
+                             f"path, got {self.network!r}")
         with open(self.network) as f:
             return NetworkSpec.from_dict(yaml.safe_load(f))
 
@@ -44,8 +49,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         """Build from a nested dict; an unknown key at the top level or in the
-        ``synth``/``da``/``solver`` sections, or a ``da``/``solver`` value of
-        the wrong type or range, is a ValueError naming it."""
+        ``synth``/``da``/``solver`` sections, a ``mode`` other than
+        ``MODES``, or a ``da``/``solver`` value of the wrong type or range,
+        is a ValueError naming it."""
         _check_keys(d, cls)
         for section, section_cls in (("synth", SynthParams), ("da", DAConfig),
                                      ("solver", SolverConfig)):
@@ -58,6 +64,8 @@ class RunConfig:
         solver = d.pop("solver", {})
         cfg = cls(synth=SynthParams(**synth), da=DAConfig(**da),
                   solver=SolverConfig(**solver), **d)
+        if cfg.mode not in MODES:
+            raise ValueError(f"mode must be one of {list(MODES)}, got {cfg.mode!r}")
         cfg.da.validate()
         cfg.solver.validate()
         return cfg

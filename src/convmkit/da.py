@@ -43,6 +43,8 @@ class DAConfig:
         for name in ("mmd_weight", "recon_weight", "sampling_start", "sampling_end",
                      "head_lr_multiplier"):
             check_number(f"da.{name}", getattr(self, name), float)
+        for name in ("no_gmmd", "no_recons"):
+            check_number(f"da.{name}", getattr(self, name), bool)
         if self.mmd_weight < 0 or self.recon_weight < 0:
             raise ValueError("loss weights must be non-negative")
         if not 0.0 <= self.sampling_start <= self.sampling_end <= 1.0:

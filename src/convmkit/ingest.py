@@ -1,23 +1,21 @@
 """Directory-of-images ingestion.
 
-Converts a tree laid out as ``root/<domain>/<class>/<image>`` into the TDF +
-manifest dataset format that the training harness reads. Only two image
-encodings are supported: a deliberately minimal PNG subset (8-bit depth,
-grayscale / RGB / RGBA, no interlacing) and ``.raw`` files, which are TDF
-tensors of shape [3, H, W] under another extension.
+Converts a tree laid out as ``root/<domain>/<class>/<image>`` into the
+dataset layout that ``synth`` writes and the training harness reads. Only
+two image encodings are supported: a deliberately minimal PNG subset (8-bit
+depth, grayscale / RGB / RGBA, no interlacing) and ``.raw`` files, which are
+TDF tensors of shape [3, H, W] under another extension.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from . import tdf
+from . import synth, tdf
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -139,45 +137,36 @@ def read_image(path) -> np.ndarray:
 
 
 def import_images(root, out_dir, *, domains=("source", "target")) -> Path:
-    """Convert ``root/<domain>/<class>/<image>`` into the harness dataset
-    layout (TDF images, manifest.csv, stats.json). Class names are sorted
-    and mapped to consecutive integer labels shared across domains."""
-    root, out = Path(root), Path(out_dir)
+    """Convert ``root/<domain>/<class>/<image>`` into the dataset layout of
+    ``synth.write_domains``: ``domains`` names the two directories read as
+    the source and the target domain. Class names are sorted and mapped to
+    consecutive integer labels shared across domains; every image must have
+    the size of the first one."""
+    root = Path(root)
+    if len(domains) != 2:
+        raise ImageError(f"domains must name two directories (source, target), "
+                         f"got {list(domains)}")
     missing = [dom for dom in domains if not (root / dom).is_dir()]
     if missing:
         raise ImageError(f"no domain directory {', '.join(map(repr, missing))} "
                          f"under {root}")
-    class_dirs = {dom: sorted(d for d in (root / dom).iterdir() if d.is_dir())
-                  for dom in domains}
-    class_names = sorted({d.name for dirs in class_dirs.values() for d in dirs})
+    class_dirs = [(dom, sorted(d for d in (root / dom).iterdir() if d.is_dir()))
+                  for dom in domains]
+    class_names = sorted({d.name for _, dirs in class_dirs for d in dirs})
     if not class_names:
         raise ImageError(f"no class directories under {root}")
-    images = {dom: [(cdir.name, p) for cdir in dirs for p in sorted(cdir.iterdir())]
-              for dom, dirs in class_dirs.items()}
-    if not any(images.values()):
-        raise ImageError(f"no images in the class directories under {root}")
     label_of = {n: i for i, n in enumerate(class_names)}
-    rows = []
-    pooled_sum = np.zeros(3)
-    pooled_sq = np.zeros(3)
-    count = 0
-    for dom in domains:
-        (out / dom).mkdir(parents=True, exist_ok=True)
-        for i, (cname, img_path) in enumerate(images[dom]):
-            x = read_image(img_path)
-            rel = f"{dom}/img_{i:05d}.tdf"
-            tdf.write(out / rel, x)
-            rows.append((rel, label_of[cname], dom))
-            pooled_sum += x.sum(axis=(1, 2))
-            pooled_sq += (x * x).sum(axis=(1, 2))
-            count += x.shape[1] * x.shape[2]
-    with open(out / "manifest.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["path", "label", "domain"])
-        w.writerows(rows)
-    mean = pooled_sum / count
-    std = np.sqrt(np.maximum(pooled_sq / count - mean * mean, 0.0))
-    with open(out / "stats.json", "w") as f:
-        json.dump({"mean": mean.tolist(), "std": std.tolist(),
-                   "classes": class_names}, f, indent=1)
-    return out
+    first = None  # (shape, path) of the first image
+    arrays = []
+    for dom, dirs in class_dirs:
+        files = [(label_of[d.name], p) for d in dirs for p in sorted(d.iterdir())]
+        if not files:
+            raise ImageError(f"no images in the class directories under {root / dom}")
+        images = [read_image(p) for _, p in files]
+        first = first or (images[0].shape, files[0][1])
+        for (_, path), x in zip(files, images):
+            if x.shape != first[0]:
+                raise ImageError(f"{path}: image size {x.shape[1:]} differs from "
+                                 f"{first[0][1:]} of {first[1]}")
+        arrays.append((np.stack(images), np.array([lab for lab, _ in files])))
+    return synth.write_domains(out_dir, *arrays, classes=class_names)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +89,21 @@ def generate(params: SynthParams):
 
 
 def write_dataset(params: SynthParams, out_dir) -> Path:
-    """Write TDF images plus manifest.csv (path,label,domain) and the
-    per-channel normalization stats."""
-    out = Path(out_dir)
+    """Generate the benchmark and write it in the dataset layout."""
     src_x, src_y, tgt_x, tgt_y = generate(params)
+    return write_domains(out_dir, (src_x, src_y), (tgt_x, tgt_y),
+                         params={**params.__dict__, "shifts": list(params.shifts)})
+
+
+def write_domains(out_dir, source, target, **extra) -> Path:
+    """The one writer of the dataset layout that ``load_dataset`` reads: each
+    domain's (x [N, 3, H, W], y [N]) as ``<domain>/img_NNNNN.tdf`` TDF images
+    listed in manifest.csv (path,label,domain), and stats.json holding the
+    pooled normalization stats plus ``extra``."""
+    out = Path(out_dir)
     rows = []
-    for domain, (x, y) in (("source", (src_x, src_y)), ("target", (tgt_x, tgt_y))):
-        ddir = out / domain
-        ddir.mkdir(parents=True, exist_ok=True)
+    for domain, (x, y) in (("source", source), ("target", target)):
+        (out / domain).mkdir(parents=True, exist_ok=True)
         for i in range(len(x)):
             rel = f"{domain}/img_{i:05d}.tdf"
             tdf.write(out / rel, x[i])
@@ -105,10 +112,8 @@ def write_dataset(params: SynthParams, out_dir) -> Path:
         w = csv.writer(f)
         w.writerow(["path", "label", "domain"])
         w.writerows(rows)
-    stats = {**pooled_stats(src_x, tgt_x),
-             "params": {**params.__dict__, "shifts": list(params.shifts)}}
     with open(out / "stats.json", "w") as f:
-        json.dump(stats, f, indent=1)
+        json.dump({**pooled_stats(source[0], target[0]), **extra}, f, indent=1)
     return out
 
 

@@ -67,5 +67,10 @@ def write(path, arr: np.ndarray) -> None:
 
 
 def read(path) -> np.ndarray:
+    """``loads`` of the file at ``path``; a refusal names the file."""
     with open(path, "rb") as f:
-        return loads(f.read())
+        blob = f.read()
+    try:
+        return loads(blob)
+    except TDFError as exc:
+        raise TDFError(f"{path}: {exc}") from None

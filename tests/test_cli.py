@@ -19,6 +19,7 @@ from convmkit.synth import SynthParams
 from convmkit.audit import count_network
 from convmkit.layers import ConvMConfig
 from convmkit.network import LayerSpec, Network, NetworkSpec, reference_spec, tiny_spec
+from test_ingest import make_tree, write_png
 
 
 @pytest.fixture
@@ -527,7 +528,6 @@ class TestTrainEvalExport:
 
 class TestImportImages:
     def test_roundtrip_through_training_reader(self, runner, tmp_path):
-        from test_ingest import write_png
         rng = np.random.default_rng(5)
         for dom in ("source", "target"):
             for cname in ("a", "b"):
@@ -551,3 +551,87 @@ class TestImportImages:
         assert res.exit_code != 0
         assert isinstance(res.exception, SystemExit)
         assert "Error: no domain directory 'val'" in res.output
+
+    def test_named_domains_import_trains(self, runner, tmp_path):
+        make_tree(tmp_path / "raw", domains=("webcam", "amazon"), size=32)
+        res = runner.invoke(main, ["import-images", "--root", str(tmp_path / "raw"),
+                                   "--domains", "webcam,amazon",
+                                   "--out", str(tmp_path / "ds")])
+        assert res.exit_code == 0, res.output
+        cfg = small_config(tmp_path, num_classes=2, mode="da",
+                           data_dir=str(tmp_path / "ds"), solver={"batch_size": 4})
+        res = runner.invoke(main, ["train", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["eval", "--config", str(cfg), "--checkpoint",
+                                   str(tmp_path / "run" / "checkpoint.zip")])
+        assert res.exit_code == 0, res.output
+        assert "target top-1 accuracy:" in res.output
+
+
+class TestRefusals:
+    """Each refusal is ``Error: <message>`` and a SystemExit, not a traceback."""
+
+    @staticmethod
+    def refused(res, message, exit_code=1):
+        assert res.exit_code == exit_code, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert f"Error: {message}" in res.output
+
+    @pytest.mark.parametrize("override,message", [
+        ({"mode": "DA"},
+         "Invalid value for '--config': mode must be one of ['source_only', 'da'], "
+         "got 'DA'"),
+        ({"da": {"no_gmmd": "false"}},
+         "Invalid value for '--config': da.no_gmmd must be of type bool, got 'false'"),
+        ({"da": {"no_recons": 0}},
+         "Invalid value for '--config': da.no_recons must be of type bool, got 0"),
+    ])
+    def test_config_value_is_a_usage_error(self, runner, tmp_path, override, message):
+        cfg = small_config(tmp_path, **override)
+        res = runner.invoke(main, ["train", "--config", str(cfg)])
+        self.refused(res, message, exit_code=2)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "audit"])
+    def test_unknown_network(self, runner, tmp_path, command):
+        cfg = small_config(tmp_path, network="tny")
+        extra = ["--checkpoint", str(cfg)] if command == "eval" else []
+        res = runner.invoke(main, [command, "--config", str(cfg), *extra])
+        self.refused(res, "network must be 'tiny', 'reference' or a spec YAML path, "
+                          "got 'tny'")
+
+    def test_make_synth_size(self, runner, tmp_path):
+        res = runner.invoke(main, ["make-synth", "--size", "12",
+                                   "--out", str(tmp_path / "ds")])
+        self.refused(res, "size must be a positive multiple of 8")
+
+    def test_export_corrupt_image(self, runner, tmp_path):
+        cfg = small_config(tmp_path)
+        runner.invoke(main, ["train", "--config", str(cfg)], catch_exceptions=False)
+        img = tmp_path / "probe.tdf"
+        img.write_bytes(b"not a tdf")
+        res = runner.invoke(main, [
+            "export-features", "--config", str(cfg),
+            "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
+            "--images", str(img), "--layer", "layer4",
+            "--out", str(tmp_path / "feats")])
+        self.refused(res, f"{img}: bad magic; not a TDF file")
+
+    def test_import_mixed_sizes(self, runner, tmp_path):
+        make_tree(tmp_path / "raw")
+        odd = tmp_path / "raw" / "target" / "dog" / "1.png"
+        write_png(odd, np.zeros((8, 6, 3), np.uint8))
+        res = runner.invoke(main, ["import-images", "--root", str(tmp_path / "raw"),
+                                   "--out", str(tmp_path / "ds")])
+        self.refused(res, f"{odd}: image size (8, 6) differs from (8, 8)")
+
+    def test_import_empty_domain(self, runner, tmp_path):
+        make_tree(tmp_path / "raw", domains=("webcam",))
+        (tmp_path / "raw" / "amazon" / "a").mkdir(parents=True)
+        res = runner.invoke(main, ["import-images", "--root", str(tmp_path / "raw"),
+                                   "--domains", "webcam,amazon",
+                                   "--out", str(tmp_path / "ds")])
+        self.refused(res, "no images in the class directories under "
+                          f"{tmp_path / 'raw' / 'amazon'}")
+

@@ -1,6 +1,7 @@
 """Minimal PNG decoding and directory-of-images conversion."""
 
 import csv
+import re
 import struct
 import zlib
 
@@ -108,20 +109,21 @@ class TestPNG:
             read_image(tmp_path / "img.bmp")
 
 
-class TestImportImages:
-    def make_tree(self, root, domains=("source", "target"), classes=("cat", "dog"),
-                  per=2, size=8):
-        for dom in domains:
-            for cname in classes:
-                d = root / dom / cname
-                d.mkdir(parents=True)
-                for i in range(per):
-                    px = RNG.integers(0, 256, size=(size, size, 3), dtype=np.uint8)
-                    write_png(d / f"{i}.png", px)
+def make_tree(root, domains=("source", "target"), classes=("cat", "dog"), per=2, size=8):
+    """root/<domain>/<class>/<i>.png with random pixels."""
+    for dom in domains:
+        for cname in classes:
+            d = root / dom / cname
+            d.mkdir(parents=True)
+            for i in range(per):
+                px = RNG.integers(0, 256, size=(size, size, 3), dtype=np.uint8)
+                write_png(d / f"{i}.png", px)
 
+
+class TestImportImages:
     def test_layout_and_labels(self, tmp_path):
         src = tmp_path / "raw"
-        self.make_tree(src)
+        make_tree(src)
         out = import_images(src, tmp_path / "ds")
         with open(out / "manifest.csv", newline="") as f:
             rows = list(csv.DictReader(f))
@@ -132,7 +134,7 @@ class TestImportImages:
 
     def test_loadable_by_dataset_reader(self, tmp_path):
         src = tmp_path / "raw"
-        self.make_tree(src)
+        make_tree(src)
         out = import_images(src, tmp_path / "ds")
         (sx, sy), (tx, ty), stats = load_dataset(out)
         assert sx.shape == (4, 3, 8, 8) and tx.shape == (4, 3, 8, 8)
@@ -154,6 +156,45 @@ class TestImportImages:
 
     def test_missing_domain_directory_rejected(self, tmp_path):
         src = tmp_path / "raw"
-        self.make_tree(src)
+        make_tree(src)
         with pytest.raises(ImageError, match="no domain directory 'val'"):
             import_images(src, tmp_path / "ds", domains=("source", "val"))
+
+    def test_named_domains_roundtrip_as_source_and_target(self, tmp_path):
+        src = tmp_path / "raw"
+        make_tree(src, domains=("webcam", "amazon"))
+        out = import_images(src, tmp_path / "ds", domains=("webcam", "amazon"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.csv", "source", "stats.json", "target"]
+        (sx, sy), (tx, ty), stats = load_dataset(out)
+        webcam = sorted((src / "webcam").glob("*/*.png"))
+        amazon = sorted((src / "amazon").glob("*/*.png"))
+        assert np.array_equal(sx, np.stack([read_image(p) for p in webcam]))
+        assert np.array_equal(tx, np.stack([read_image(p) for p in amazon]))
+        assert sy.tolist() == ty.tolist() == [0, 0, 1, 1]
+        assert stats["classes"] == ["cat", "dog"]
+
+    def test_mixed_image_sizes_rejected(self, tmp_path):
+        src = tmp_path / "raw"
+        make_tree(src)
+        odd = src / "target" / "dog" / "1.png"
+        write_png(odd, RNG.integers(0, 256, size=(8, 6, 3), dtype=np.uint8))
+        with pytest.raises(ImageError, match=re.escape(f"{odd}: image size (8, 6) differs "
+                                                       f"from (8, 8) of {src}")):
+            import_images(src, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
+    def test_empty_domain_rejected(self, tmp_path):
+        src = tmp_path / "raw"
+        make_tree(src, domains=("source",))
+        (src / "target" / "cat").mkdir(parents=True)
+        with pytest.raises(ImageError, match=re.escape(
+                f"no images in the class directories under {src / 'target'}")):
+            import_images(src, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
+    def test_domains_must_be_two(self, tmp_path):
+        src = tmp_path / "raw"
+        make_tree(src, domains=("source", "target", "val"))
+        with pytest.raises(ImageError, match="domains must name two directories"):
+            import_images(src, tmp_path / "ds", domains=("source", "target", "val"))
